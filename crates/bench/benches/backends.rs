@@ -2,12 +2,11 @@
 //! faulted back per second through each shipped [`FarBackend`], per worker
 //! thread count, plus the deterministic queued-fault latency distribution.
 //!
-//! This is a hand-rolled harness (no criterion) so it can emit the
-//! machine-readable trajectory file `BENCH_backends.json` at the workspace
-//! root — the tracked perf baseline for the demotion-chain tiers. Every
-//! shard of work is integer-deterministic, so the per-tier `ns_charged`
-//! checksum must be bit-identical at every thread count (the harness
-//! asserts it). Iteration budget is tunable for CI smoke runs:
+//! Emits the machine-readable trajectory file `BENCH_backends.json` at
+//! the workspace root — the tracked perf baseline for the demotion-chain
+//! tiers. Every shard of work is integer-deterministic, so the per-tier
+//! `ns_charged` checksum must be bit-identical at every thread count (the
+//! harness asserts it). Iteration budget is tunable for CI smoke runs:
 //!
 //! * `SDFM_BENCH_PAGES` — pages stored+loaded per configuration
 //!   (default 100_000)

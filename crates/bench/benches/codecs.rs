@@ -1,9 +1,8 @@
 //! Codec throughput, per-page cost, and realized compression ratios: the
 //! performance substrate behind Figure 9 and the cost model's inputs.
 //!
-//! This is a hand-rolled harness (no criterion) so it can emit the
-//! machine-readable file `BENCH_codecs.json` at the workspace root — the
-//! tracked baseline for the codec path: a ratio histogram over the fleet
+//! Emits the machine-readable file `BENCH_codecs.json` at the workspace
+//! root — the tracked baseline for the codec path: a ratio histogram over the fleet
 //! page mix, per-page compress/decompress cost, and batched pages/sec at
 //! 1/2/4 worker threads through `compress_many`/`decompress_many`.
 //! Iteration budget is tunable for CI smoke runs:

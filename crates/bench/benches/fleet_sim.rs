@@ -1,9 +1,8 @@
 //! Fleet-window simulation throughput: windows stepped per second vs
-//! worker-thread count, persistent pool vs spawn-per-call.
+//! worker-thread count.
 //!
-//! This is a hand-rolled harness (no criterion) so it can emit the
-//! machine-readable trajectory file `BENCH_fleet_sim.json` at the
-//! workspace root — the tracked perf baseline for the worker-pool port.
+//! Emits the machine-readable trajectory file `BENCH_fleet_sim.json` at
+//! the workspace root — the tracked perf baseline for the window step.
 //! Iteration budget is tunable for CI smoke runs:
 //!
 //! * `SDFM_BENCH_WARMUP`  — windows stepped before timing (default 8)
@@ -13,7 +12,7 @@
 
 use std::time::Instant;
 
-use sdfm_core::fleet_sim::{FleetSim, FleetSimConfig, ParallelEngine};
+use sdfm_core::fleet_sim::{FleetSim, FleetSimConfig};
 
 const MACHINES: usize = 6;
 const SEED: u64 = 42;
@@ -26,11 +25,10 @@ fn env_budget(name: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// Windows per second for one (threads, engine) configuration.
-fn measure(threads: usize, engine: ParallelEngine, warmup: usize, windows: usize) -> f64 {
+/// Windows per second at one thread count.
+fn measure(threads: usize, warmup: usize, windows: usize) -> f64 {
     let mut cfg = FleetSimConfig::new(MACHINES);
     cfg.threads = threads;
-    cfg.engine = engine;
     let mut sim = FleetSim::new(cfg, SEED);
     // Warm past the S-boundary so every timed window does full work.
     for _ in 0..warmup {
@@ -55,18 +53,12 @@ fn main() {
 
     let mut rows = Vec::new();
     for threads in [1usize, 2, 4] {
-        for (engine, engine_name) in [
-            (ParallelEngine::PersistentPool, "persistent_pool"),
-            (ParallelEngine::SpawnPerCall, "spawn_per_call"),
-        ] {
-            let wps = measure(threads, engine, warmup, windows);
-            eprintln!("  threads={threads} engine={engine_name}: {wps:.2} windows/s");
-            rows.push(serde_json::json!({
-                "threads": threads,
-                "engine": engine_name,
-                "windows_per_sec": wps,
-            }));
-        }
+        let wps = measure(threads, warmup, windows);
+        eprintln!("  threads={threads}: {wps:.2} windows/s");
+        rows.push(serde_json::json!({
+            "threads": threads,
+            "windows_per_sec": wps,
+        }));
     }
 
     let report = serde_json::json!({

@@ -124,7 +124,7 @@ pub fn validate_bench_report(report: &serde_json::Value) -> Result<(), Vec<Strin
                 "caveat",
                 "results",
             ],
-            &["threads", "engine"],
+            &["threads"],
             "windows_per_sec",
         ),
         "model_evaluate_many" => (
@@ -456,10 +456,10 @@ mod tests {
     fn fleet_sim_report() -> Value {
         let rows = vec![
             serde_json::json!({
-                "threads": 1u64, "engine": "persistent_pool", "windows_per_sec": 10.5f64,
+                "threads": 1u64, "windows_per_sec": 10.5f64,
             }),
             serde_json::json!({
-                "threads": 2u64, "engine": "spawn_per_call", "windows_per_sec": 7.2f64,
+                "threads": 2u64, "windows_per_sec": 7.2f64,
             }),
         ];
         serde_json::json!({

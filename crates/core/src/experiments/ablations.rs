@@ -235,7 +235,7 @@ pub struct AblationController {
 pub fn ablation_controller(traces: &[JobTrace], k: f64) -> AblationController {
     let slo = SloConfig::default();
     let target = slo.target.fraction_per_min();
-    let params = AgentParams::new(k, SimDuration::ZERO).expect("valid k");
+    let config = ModelConfig::new(AgentParams::new(k, SimDuration::ZERO).expect("valid k"));
 
     let mut kp_viol = 0usize;
     let mut kp_total = 0usize;
@@ -247,7 +247,7 @@ pub fn ablation_controller(traces: &[JobTrace], k: f64) -> AblationController {
 
     for trace in traces {
         // K-percentile via the production replay.
-        let out = sdfm_model::replay_job(trace, &params, &slo);
+        let out = sdfm_model::replay_job(trace, &config);
         for w in &out.windows {
             if !w.enabled {
                 continue;

@@ -21,15 +21,13 @@
 //!   of stranding demand.
 //!
 //! All four modes run on the generalized [`sdfm_kernel::DemotionChain`];
-//! the two-tier modes are the exact two-backend special case
-//! ([`Tier1Config::backend`]), so their numbers are bit-identical to the
-//! pre-chain implementation.
+//! the two-tier modes are the exact two-backend special case — an
+//! NVM-like device ([`BackendConfig::nvm_like`], warmest) followed by
+//! compressed RAM.
 
 use serde::{Deserialize, Serialize};
 
-use sdfm_kernel::{
-    BackendConfig, BackendKind, Kernel, KernelConfig, StorePressure, Tier1Config,
-};
+use sdfm_kernel::{BackendConfig, BackendKind, Kernel, KernelConfig, StorePressure};
 use sdfm_types::histogram::PageAge;
 use sdfm_types::ids::JobId;
 use sdfm_types::size::PageCount;
@@ -153,7 +151,10 @@ fn run_mode(mode: TierMode, minutes: u64, nvm_pages: u64, seed: u64) -> TierOutc
     match mode {
         TierMode::ZswapOnly => {}
         TierMode::Tier1Only | TierMode::TwoTier => {
-            kernel.enable_tier1(Tier1Config::nvm_like(PageCount::new(nvm_pages)));
+            kernel.enable_chain(&[
+                BackendConfig::nvm_like(PageCount::new(nvm_pages)),
+                BackendConfig::compressed_ram(),
+            ]);
         }
         TierMode::ThreeTier => {
             kernel.enable_chain(&[

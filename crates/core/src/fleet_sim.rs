@@ -13,7 +13,6 @@
 
 use std::sync::OnceLock;
 
-use crossbeam::thread;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -21,9 +20,10 @@ use serde::{Deserialize, Serialize};
 use sdfm_agent::{AgentParams, JobController, SloConfig};
 use sdfm_compress::codec::CodecKind;
 use sdfm_compress::measure::ClassPayloadTable;
+use sdfm_kernel::far_state::store_frames;
 use sdfm_kernel::{
-    ChainPolicy, CostModel, CpuAccounting, Kernel, KernelConfig, PrefetchPolicy,
-    PrefetchWindowCounts, StorePressure,
+    ChainPolicy, CostModel, CpuAccounting, FarPolicy, FarState, Kernel, KernelConfig,
+    PrefetchPolicy, StorePressure,
 };
 use sdfm_pool::WorkerPool;
 use sdfm_types::arith::permille_of;
@@ -35,45 +35,6 @@ use sdfm_types::time::{SimDuration, SimTime, DAY, KSTALED_SCAN_PERIOD};
 use sdfm_workloads::fleet::FleetSpec;
 use sdfm_workloads::profile::JobProfile;
 use sdfm_workloads::{PageLevelDriver, StatJobModel, WindowObservation};
-
-/// How the per-job window step fans out across workers. Both engines
-/// produce bit-identical output; they differ only in scheduling cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ParallelEngine {
-    /// A persistent [`WorkerPool`] created lazily on the first parallel
-    /// window and shut down when the simulator drops. Removes the
-    /// per-window thread create/join round trip — the production default.
-    #[default]
-    PersistentPool,
-    /// The pre-pool behavior: spawn scoped threads on every window. Kept
-    /// as the baseline the `fleet_sim` bench compares the pool against.
-    SpawnPerCall,
-}
-
-/// Where a job's realized compression outcome (acceptance fraction and
-/// ratio of stored pages) comes from.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RatioSource {
-    /// Derived per job from a *measured* per-class payload table: the real
-    /// codec compressed generated pages of every class, and each job's
-    /// [`CompressibilityMix`](sdfm_compress::gen::CompressibilityMix)
-    /// weights those measurements. The default — the paper's ~3× ratio and
-    /// ~31% rejection emerge from the codec, not from constants.
-    Measured(ClassPayloadTable),
-    /// The static modeled fallback: the mix's *typical* incompressibility
-    /// (class labels, no codec in the loop) and the [`CostModel`]'s
-    /// configured ratio. Kept as an explicit mode for what-if runs with
-    /// hand-set ratios.
-    Modeled,
-}
-
-impl Default for RatioSource {
-    fn default() -> Self {
-        // lzo is the paper's production codec (§5.1); the table is
-        // deterministic and cached process-wide.
-        RatioSource::Measured(*ClassPayloadTable::measured_default(CodecKind::Lzo))
-    }
-}
 
 /// Errors from the fleet window step. These all indicate a simulator
 /// invariant breaking mid-window — a worker dying or the sharded
@@ -125,8 +86,14 @@ pub struct FleetSimConfig {
     pub churn: bool,
     /// Per-page compression costs for CPU accounting.
     pub cost: CostModel,
-    /// Where per-job realized compression ratios come from.
-    pub ratio_source: RatioSource,
+    /// The *measured* per-class payload table that per-job compression
+    /// outcomes derive from: the real codec compressed generated pages of
+    /// every class, and each job's
+    /// [`CompressibilityMix`](sdfm_compress::gen::CompressibilityMix)
+    /// weights those measurements into its acceptance fraction and
+    /// stored-page ratio — the paper's ~3× ratio and ~31% rejection emerge
+    /// from the codec, not from constants.
+    pub ratio_source: ClassPayloadTable,
     /// Store-lifecycle policy: how fast a disabled job's zswap store
     /// decays back to DRAM (mirrors the kernel's writeback machinery).
     pub pressure: StorePressure,
@@ -146,8 +113,6 @@ pub struct FleetSimConfig {
     /// output is identical at any thread count: each job's state is
     /// self-contained, and results are aggregated in job order.
     pub threads: usize,
-    /// How the parallel window step schedules its workers.
-    pub engine: ParallelEngine,
     /// Hierarchical fidelity cutoff: machines whose **global index** —
     /// cluster-major order straight from the spec (cluster 0's machines
     /// first, then cluster 1's, …) — is *below* this count run their jobs
@@ -171,14 +136,15 @@ impl FleetSimConfig {
             noise_sigma: StatJobModel::DEFAULT_SIGMA,
             churn: true,
             cost: CostModel::PAPER_DEFAULT,
-            ratio_source: RatioSource::default(),
+            // lzo is the paper's production codec (§5.1); the table is
+            // deterministic and cached process-wide.
+            ratio_source: *ClassPayloadTable::measured_default(CodecKind::Lzo),
             pressure: StorePressure::PAPER_DEFAULT,
             chain: None,
             prefetch: None,
             // 0 = unrequested: honors `SDFM_THREADS`, then host parallelism,
             // so CI runs on different hosts resolve reproducibly.
             threads: sdfm_pool::resolve_threads(0),
-            engine: ParallelEngine::default(),
             fidelity_cutoff: 0,
         }
     }
@@ -423,7 +389,7 @@ struct SimJob {
     cumulative_promo: PromotionHistogram,
     expires: SimTime,
     /// Fraction of the job's pages the cutoff accepts, per-mille — from the
-    /// measured table (or the modeled fallback) over the job's mix.
+    /// measured table over the job's mix.
     stored_permille: u32,
     /// Realized compression ratio of the job's stored pages, per-mille.
     ratio_permille: u32,
@@ -433,17 +399,11 @@ struct SimJob {
     rejected_marked: u64,
     cpu_cores: f64,
     total_pages: u64,
-    /// Pages currently in the job's zswap store. Tracks `far_pages` while
-    /// zswap is enabled; after a disable the store-lifecycle policy decays
-    /// it window by window (writebacks, each a charged decompression)
-    /// until it reaches zero — mirroring the kernel's writeback machinery.
-    /// On re-enable, only growth beyond what is still stored is charged
-    /// as compression work.
-    store_pages: u64,
-    /// Pages parked on the SSD tier (chain runs only).
-    ssd_pages: u64,
-    /// Pages parked on the remote tier (chain runs only).
-    remote_pages: u64,
+    /// Store / SSD / remote residency, advanced by the recurrence shared
+    /// with the offline model. The store tracks `far_pages` while zswap is
+    /// enabled and decays window by window after a disable, so a
+    /// re-enable is charged only the growth beyond what is still stored.
+    far: FarState,
 }
 
 // The parallel window step hands chunks of jobs to scoped worker threads;
@@ -469,8 +429,7 @@ pub struct FleetSim {
     /// allocates nothing in steady state.
     scratch: Vec<Vec<(usize, JobWindowStat)>>,
     /// The persistent worker pool, created lazily on the first parallel
-    /// window ([`ParallelEngine::PersistentPool`] only) and shut down —
-    /// workers joined — when the simulator drops.
+    /// window and shut down — workers joined — when the simulator drops.
     pool: OnceLock<WorkerPool>,
     /// Cumulative CPU charged at the configured [`CostModel`] for every
     /// compression (stored and rejected) and decompression the fleet
@@ -538,18 +497,9 @@ impl FleetSim {
         };
         let started = SimTime::from_secs(self.now.as_secs().saturating_sub(age_head_start));
         let expires = started + profile.lifetime;
-        let (stored_permille, ratio_permille) = match &self.config.ratio_source {
-            RatioSource::Measured(table) => (
-                table.stored_permille(&profile.mix),
-                table.ratio_permille(&profile.mix),
-            ),
-            RatioSource::Modeled => (
-                1000u32.saturating_sub(
-                    (profile.mix.incompressible_fraction() * 1000.0).round() as u32,
-                ),
-                self.config.cost.ratio_permille,
-            ),
-        };
+        let table = &self.config.ratio_source;
+        let stored_permille = table.stored_permille(&profile.mix);
+        let ratio_permille = table.ratio_permille(&profile.mix);
         let cpu_cores = profile.cpu_cores;
         let total_pages = profile.total_pages().get();
         let cluster = self.config.spec.clusters[cluster_idx].id;
@@ -600,9 +550,7 @@ impl FleetSim {
             rejected_marked: 0,
             cpu_cores,
             total_pages,
-            store_pages: 0,
-            ssd_pages: 0,
-            remote_pages: 0,
+            far: FarState::default(),
         });
     }
 
@@ -653,9 +601,7 @@ impl FleetSim {
         now: SimTime,
         window: SimDuration,
         min_threshold: PageAge,
-        pressure: StorePressure,
-        chain: Option<ChainPolicy>,
-        prefetch: Option<PrefetchPolicy>,
+        policy: &FarPolicy,
     ) -> JobWindowStat {
         let obs = match &mut j.engine {
             JobEngine::Stat(model) => model.observe(now, window),
@@ -670,7 +616,7 @@ impl FleetSim {
         let threshold = decision.threshold;
         // Integer per-mille scaling: the realized acceptance fraction of
         // the job's mix decides how much of the cold mass actually lands
-        // in the store. Exact integer arithmetic keeps the step
+        // in far memory. Exact integer arithmetic keeps the step
         // scheduling-independent bit for bit.
         let stored = j.stored_permille as u64;
         let (far, promos, reject_candidates) = if enabled {
@@ -681,104 +627,23 @@ impl FleetSim {
         } else {
             (0, 0, 0)
         };
-        // Prefetch recurrence (shared with the offline model): of the
-        // window's would-be demand promotions, the policy's coverage and
-        // aggressiveness decide how many were predicted and promoted
-        // ahead of demand (`used` — those stalls vanish), how many extra
-        // mispredictions rode along (`wasted` — promoted and recompressed
-        // for nothing), and how many correct predictions lost the race to
-        // the fault (`late` — they stall like any demand miss). With no
-        // policy every count is zero and the arithmetic below reduces to
-        // the pre-prefetch expressions bit for bit.
-        let pf = match prefetch {
-            Some(p) if enabled => p.window_counts(promos),
-            _ => PrefetchWindowCounts::default(),
-        };
-        // Demand promotions the job actually stalls on; `used ≤ promos`
-        // by construction of the recurrence.
-        let demand_promos = promos - pf.used;
-        // CPU events: only pages *entering* the store compress. An enabled
-        // window is charged the growth beyond what is still stored, plus
-        // the re-compression of pages that faulted out and went cold again
-        // (the promotion rate). Incompressible candidates are attempted
-        // once — wasted cycles the paper still pays (§5.1) — then marked,
-        // so only cold mass beyond the high-water mark generates new
-        // rejections. While disabled, the store-lifecycle policy writes
-        // the dead store back window by window — each writeback a charged
-        // decompression — so a long-disabled job's store reaches zero and
-        // a much later re-enable pays for the full cold mass.
-        let mut ssd_faults = 0u64;
-        let mut remote_faults = 0u64;
-        let (compress_events, rejected_events, writeback_events) = if enabled {
-            // With a chain attached, `far` is the job's *total* far-memory
-            // footprint; device residency comes off the top and the store
-            // holds the rest, so demoted pages are never recompressed.
-            let device = j.ssd_pages + j.remote_pages;
-            let store_target = if far >= device {
-                far - device
-            } else {
-                // The cold mass shrank below the device residency: the
-                // warmest device pages fault back (SSD before remote),
-                // each a charged device load.
-                let mut need = device - far;
-                ssd_faults = need.min(j.ssd_pages);
-                j.ssd_pages -= ssd_faults;
-                need -= ssd_faults;
-                remote_faults = need.min(j.remote_pages);
-                j.remote_pages -= remote_faults;
-                0
-            };
-            // Every page leaving the store goes cold again and
-            // recompresses: demand promotions plus issued prefetches,
-            // i.e. `promos + wasted` (used prefetches replace demand
-            // faults one for one).
-            let events = store_target.saturating_sub(j.store_pages) + promos + pf.wasted;
-            j.store_pages = store_target;
-            let fresh_rejects = reject_candidates.saturating_sub(j.rejected_marked);
-            j.rejected_marked = j.rejected_marked.max(reject_candidates);
-            (events, fresh_rejects, 0)
-        } else if chain.is_some() {
-            // A chain gives the dead store somewhere slower to go: the
-            // demotion step below drains it down the ladder instead of
-            // writing it back to DRAM (the kernel's
-            // `store_lifecycle_tick` demote path).
-            (0, 0, 0)
-        } else {
-            let writebacks = pressure.decay_step(j.store_pages);
-            j.store_pages -= writebacks;
-            (0, 0, writebacks)
-        };
-        // Demotion trickle: one decay step of the store's coldest pages
-        // sinks to the SSD tier up to the per-job quota and overflows to
-        // remote — under the chain's own policy while enabled, under the
-        // lifecycle pressure while disabled. Each demotion loads the page
-        // out of the store (a charged decompression) and stores it on the
-        // device (charged tier I/O), exactly like the kernel's
-        // `demote_coldest`.
-        let (ssd_demotions, remote_demotions) = match chain {
-            Some(cp) => {
-                let policy = if enabled { cp.demote } else { pressure };
-                let step = policy.decay_step(j.store_pages);
-                let to_ssd = step.min(cp.ssd_quota_pages.saturating_sub(j.ssd_pages));
-                let to_remote = step - to_ssd;
-                j.store_pages -= step;
-                j.ssd_pages += to_ssd;
-                j.remote_pages += to_remote;
-                (to_ssd, to_remote)
-            }
-            None => (0, 0),
-        };
-        let demote_events = ssd_demotions + remote_demotions;
-        let rate = PromotionRate::from_count(demand_promos, window)
+        // Store, demotion chain, and prefetch: the recurrence shared with
+        // the offline model.
+        let w = j.far.step(enabled, far, promos, policy);
+        // CPU events: only pages *entering* the store compress — the
+        // growth beyond what is still stored, plus the re-compression of
+        // every page that left it and went cold again: demand promotions
+        // and issued prefetches, i.e. `promos + wasted` (used prefetches
+        // replace demand faults one for one). All three are zero while
+        // disabled. Incompressible candidates are attempted once — wasted
+        // cycles the paper still pays (§5.1) — then marked, so only cold
+        // mass beyond the high-water mark generates new rejections.
+        let compress_events = w.store_growth + promos + w.prefetch.wasted;
+        let rejected_events = reject_candidates.saturating_sub(j.rejected_marked);
+        j.rejected_marked = j.rejected_marked.max(reject_candidates);
+        let rate = PromotionRate::from_count(w.demand_promotions, window)
             .normalized(decision.working_set)
             .fraction_per_min();
-        // The frames the store occupies at the job's realized ratio —
-        // this, not the raw page count, is what the compressed pool costs.
-        let store_frames = if j.store_pages == 0 {
-            0
-        } else {
-            (j.store_pages * 1000).div_ceil(j.ratio_permille.max(1000) as u64)
-        };
         JobWindowStat {
             job: j.id,
             cluster: j.cluster,
@@ -787,29 +652,38 @@ impl FleetSim {
             working_set: decision.working_set.get(),
             cold_pages: cold_min,
             far_pages: far,
-            promotions: demand_promos,
+            promotions: w.demand_promotions,
             threshold_scans: threshold.as_scans(),
             enabled,
             normalized_rate: rate,
             compress_events,
             rejected_events,
             // Every store departure decompresses exactly once: demand
-            // promotions, prefetched promotions, writebacks, demotions.
-            decompress_events: demand_promos + pf.issued + writeback_events + demote_events,
-            store_pages: j.store_pages,
-            store_frames,
+            // promotions, prefetched promotions, writebacks, demotions
+            // (each demotion loads the page out of the store before the
+            // device store, like the kernel's `demote_coldest`).
+            decompress_events: w.demand_promotions
+                + w.prefetch.issued
+                + w.writebacks
+                + w.ssd_demotions
+                + w.remote_demotions,
+            store_pages: j.far.store_pages,
+            // The frames the store occupies at the job's realized ratio —
+            // this, not the raw page count, is what the compressed pool
+            // costs.
+            store_frames: store_frames(j.far.store_pages, j.ratio_permille),
             ratio_permille: j.ratio_permille,
-            writeback_events,
-            ssd_pages: j.ssd_pages,
-            remote_pages: j.remote_pages,
-            ssd_demotions,
-            remote_demotions,
-            ssd_faults,
-            remote_faults,
-            prefetch_issued: pf.issued,
-            prefetch_used: pf.used,
-            prefetch_wasted: pf.wasted,
-            prefetch_late: pf.late,
+            writeback_events: w.writebacks,
+            ssd_pages: j.far.ssd_pages,
+            remote_pages: j.far.remote_pages,
+            ssd_demotions: w.ssd_demotions,
+            remote_demotions: w.remote_demotions,
+            ssd_faults: w.ssd_faults,
+            remote_faults: w.remote_faults,
+            prefetch_issued: w.prefetch.issued,
+            prefetch_used: w.prefetch.used,
+            prefetch_wasted: w.prefetch.wasted,
+            prefetch_late: w.prefetch.late,
             cpu_cores: j.cpu_cores,
         }
     }
@@ -817,13 +691,13 @@ impl FleetSim {
     /// Advances one window and returns the fleet stats.
     ///
     /// The per-job work fans out across [`FleetSimConfig::threads`]
-    /// workers — by default on the simulator's persistent [`WorkerPool`] —
-    /// sharded at *machine* granularity (segment cuts fall only on
-    /// machine boundaries, and results are reassembled by original job
-    /// index, so scheduling never reaches the output); job churn then
+    /// workers on the simulator's persistent [`WorkerPool`], sharded at
+    /// *machine* granularity (segment cuts fall only on machine
+    /// boundaries, and results are reassembled by original job index, so
+    /// scheduling never reaches the output); job churn then
     /// runs sequentially on the sim-level RNG. The result — including the
     /// order of `per_job` and the RNG stream — is bit-for-bit identical
-    /// at any thread count and under either [`ParallelEngine`].
+    /// at any thread count.
     ///
     /// # Errors
     ///
@@ -837,9 +711,12 @@ impl FleetSim {
         let now = self.now;
         let window = self.config.window;
         let min_threshold = self.config.slo.min_threshold;
-        let pressure = self.config.pressure;
         let chain = self.config.chain;
-        let prefetch = self.config.prefetch;
+        let policy = FarPolicy {
+            pressure: self.config.pressure,
+            chain,
+            prefetch: self.config.prefetch,
+        };
         let mut stats = FleetWindowStats {
             at: now,
             total_pages: 0,
@@ -859,15 +736,9 @@ impl FleetSim {
         let workers = self.config.threads.max(1).min(self.jobs.len().max(1));
         if workers <= 1 {
             for j in &mut self.jobs {
-                stats.per_job.push(Self::step_job(
-                    j,
-                    now,
-                    window,
-                    min_threshold,
-                    pressure,
-                    chain,
-                    prefetch,
-                ));
+                stats
+                    .per_job
+                    .push(Self::step_job(j, now, window, min_threshold, &policy));
             }
         } else {
             // Shard at MACHINE granularity. Jobs are ordered by index
@@ -913,50 +784,26 @@ impl FleetSim {
                 rest = tail;
             }
             self.scratch.resize_with(segments.len(), Vec::new);
-            match self.config.engine {
-                ParallelEngine::PersistentPool => {
-                    let threads = self.config.threads;
-                    let pool = self.pool.get_or_init(|| WorkerPool::new(threads));
-                    let tasks: Vec<_> = segments
-                        .into_iter()
-                        .zip(self.scratch.iter_mut())
-                        .map(|(seg, buf)| {
-                            move || {
-                                buf.clear();
-                                buf.extend(seg.iter_mut().map(|(i, j)| {
-                                    let stat = Self::step_job(
-                                        j, now, window, min_threshold, pressure, chain, prefetch,
-                                    );
-                                    (*i, stat)
-                                }));
-                            }
-                        })
-                        .collect();
-                    if let Err(e) = pool.run(tasks) {
-                        // A job-step panic is a simulator bug; surface it
-                        // as a typed error instead of tearing the caller
-                        // down with a re-raised panic.
-                        return Err(FleetSimError::WorkerPanicked(e.to_string()));
+            let threads = self.config.threads;
+            let pool = self.pool.get_or_init(|| WorkerPool::new(threads));
+            let policy = &policy;
+            let tasks: Vec<_> = segments
+                .into_iter()
+                .zip(self.scratch.iter_mut())
+                .map(|(seg, buf)| {
+                    move || {
+                        buf.clear();
+                        buf.extend(seg.iter_mut().map(|(i, j)| {
+                            (*i, Self::step_job(j, now, window, min_threshold, policy))
+                        }));
                     }
-                }
-                ParallelEngine::SpawnPerCall => {
-                    if let Err(e) = thread::scope(|s| {
-                        for (seg, buf) in segments.into_iter().zip(self.scratch.iter_mut()) {
-                            s.spawn(move |_| {
-                                buf.clear();
-                                buf.extend(seg.iter_mut().map(|(i, j)| {
-                                    let stat = Self::step_job(
-                                        j, now, window, min_threshold, pressure, chain, prefetch,
-                                    );
-                                    (*i, stat)
-                                }));
-                            });
-                        }
-                    }) {
-                        return Err(FleetSimError::WorkerPanicked(format!("{e:?}")));
-                    }
-                }
-            }
+                })
+                .collect();
+            // A job-step panic is a simulator bug; surface it as a typed
+            // error instead of tearing the caller down with a re-raised
+            // panic.
+            pool.run(tasks)
+                .map_err(|e| FleetSimError::WorkerPanicked(e.to_string()))?;
             // Index-ordered reassembly: every original index appears in
             // exactly one segment, so slotting by index reproduces the
             // sequential `per_job` order bit for bit. That partition is
@@ -1218,28 +1065,6 @@ mod tests {
         }
     }
 
-    /// The persistent pool and the per-call spawn baseline must be
-    /// observationally indistinguishable: same seed, same windows, same
-    /// bytes. This is the contract that lets the bench compare their cost
-    /// while everything else routes through the pool.
-    #[test]
-    fn pool_and_spawn_per_call_engines_agree() {
-        let sim_with_engine = |engine: ParallelEngine| {
-            let mut cfg = FleetSimConfig::new(2);
-            cfg.noise_sigma = 0.1;
-            cfg.threads = 4;
-            cfg.engine = engine;
-            FleetSim::new(cfg, 29)
-        };
-        let mut pooled = sim_with_engine(ParallelEngine::PersistentPool);
-        let mut spawned = sim_with_engine(ParallelEngine::SpawnPerCall);
-        for w in 0..12 {
-            let a = pooled.step_window().unwrap();
-            let b = spawned.step_window().unwrap();
-            assert_eq!(a, b, "engines diverged at window {w}");
-        }
-    }
-
     #[test]
     fn reenable_charges_only_the_far_memory_delta() {
         // Deterministic expectations so far memory is stable across the
@@ -1369,10 +1194,6 @@ mod tests {
     /// the codec measurements, not from a constant.
     #[test]
     fn measured_ratios_size_the_store_in_paper_regime() {
-        assert!(
-            matches!(FleetSimConfig::new(1).ratio_source, RatioSource::Measured(_)),
-            "measured ratios must be the default"
-        );
         let mut sim = small_sim(19);
         let mut last = None;
         for _ in 0..16 {
@@ -1444,29 +1265,6 @@ mod tests {
         assert!(cpu.decompress_events > 0);
     }
 
-    /// The modeled fallback stays available and actually behaves like the
-    /// static model: one fleet-wide ratio from the cost model.
-    #[test]
-    fn modeled_fallback_uses_static_constants() {
-        let mut cfg = FleetSimConfig::new(2);
-        cfg.noise_sigma = 0.0;
-        cfg.ratio_source = RatioSource::Modeled;
-        let mut sim = FleetSim::new(cfg, 21);
-        let mut last = None;
-        for _ in 0..10 {
-            last = Some(sim.step_window().unwrap());
-        }
-        let s = last.unwrap();
-        assert!(s.store_pages > 0);
-        for j in s.per_job.iter().filter(|j| j.store_pages > 0) {
-            assert_eq!(
-                j.ratio_permille,
-                CostModel::PAPER_DEFAULT.ratio_permille,
-                "modeled mode must use the configured ratio"
-            );
-        }
-    }
-
     /// Two-run determinism for the realized-ratio path specifically: the
     /// measured table is computed independently per run (process-wide
     /// cache aside) and the integer per-mille arithmetic is exact, so
@@ -1477,11 +1275,8 @@ mod tests {
             let mut cfg = FleetSimConfig::new(2);
             cfg.noise_sigma = 0.1;
             cfg.threads = threads;
-            cfg.ratio_source = RatioSource::Measured(ClassPayloadTable::measure(
-                CodecKind::Lzo,
-                16,
-                42, // independent of the cached default: measured per run
-            ));
+            // Independent of the cached default: measured per run.
+            cfg.ratio_source = ClassPayloadTable::measure(CodecKind::Lzo, 16, 42);
             let mut sim = FleetSim::new(cfg, 23);
             let windows = sim.run_windows(8).unwrap();
             serde_json::to_string(&windows).expect("fleet stats serialize")

@@ -45,8 +45,6 @@ pub mod system;
 pub mod tco;
 
 pub use autotune::{AutotunePipeline, TuneTrial};
-pub use fleet_sim::{
-    FleetSim, FleetSimConfig, FleetSimError, FleetWindowStats, JobWindowStat, RatioSource,
-};
+pub use fleet_sim::{FleetSim, FleetSimConfig, FleetSimError, FleetWindowStats, JobWindowStat};
 pub use system::{FarMemorySystem, SystemConfig};
 pub use tco::TcoModel;

@@ -14,8 +14,8 @@ use sdfm_core::experiments::tables::{table1, table2};
 use sdfm_core::experiments::two_tier::experiment_two_tier;
 use sdfm_core::experiments::{collect_fleet_traces, Scale};
 use sdfm_core::{FleetSim, FleetSimConfig};
-use sdfm_kernel::{ChainPolicy, CostModel, PrefetchMode, PrefetchPolicy, StorePressure};
-use sdfm_model::{replay_job_with_prefetch, FarMemoryModel, ModelConfig};
+use sdfm_kernel::{ChainPolicy, PrefetchMode, PrefetchPolicy};
+use sdfm_model::{replay_job, FarMemoryModel, ModelConfig};
 
 /// FNV-1a, 64-bit.
 fn fnv1a64(hash: u64, bytes: &[u8]) -> u64 {
@@ -107,8 +107,7 @@ fn replay_policy_cells_are_pinned() {
         ..Scale::small()
     };
     let traces = collect_fleet_traces(&scale, 24);
-    let params = AgentParams::default();
-    let slo = sdfm_agent::SloConfig::default();
+    let base = ModelConfig::new(AgentParams::default());
     let expected = [
         0x7af2_2a57_c6cc_3f97u64,
         0xb850_5d86_193b_8d11,
@@ -116,26 +115,22 @@ fn replay_policy_cells_are_pinned() {
         0x1ed4_b1cb_0bdb_ff9e,
     ];
     for ((name, chain, prefetch), want) in policy_cells().into_iter().zip(expected) {
-        let outcomes: Vec<_> = traces
-            .iter()
-            .map(|t| {
-                replay_job_with_prefetch(
-                    t,
-                    &params,
-                    &slo,
-                    StorePressure::PAPER_DEFAULT,
-                    &CostModel::PAPER_DEFAULT,
-                    chain,
-                    prefetch,
-                )
-            })
-            .collect();
-        pin(&format!("replay cell `{name}`"), debug_hash(&outcomes), want);
+        let config = ModelConfig {
+            chain,
+            prefetch,
+            ..base
+        };
+        let outcomes: Vec<_> = traces.iter().map(|t| replay_job(t, &config)).collect();
+        pin(
+            &format!("replay cell `{name}`"),
+            debug_hash(&outcomes),
+            want,
+        );
     }
     let model = FarMemoryModel::new(traces);
     pin(
         "FarMemoryModel::evaluate",
-        debug_hash(&model.evaluate(&ModelConfig::new(params))),
+        debug_hash(&model.evaluate(&base)),
         0x935b_a9a5_cfa0_aa96,
     );
 }
@@ -143,9 +138,21 @@ fn replay_policy_cells_are_pinned() {
 #[test]
 fn coldness_figures_are_pinned() {
     let scale = Scale::small();
-    pin("figure1", debug_hash(&figure1(&scale)), 0x1166_1f70_1aab_76f4);
-    pin("figure2", debug_hash(&figure2(&scale)), 0x7ec6_80be_c694_62f6);
-    pin("figure3", debug_hash(&figure3(&scale)), 0x766b_a8f4_0141_9435);
+    pin(
+        "figure1",
+        debug_hash(&figure1(&scale)),
+        0x1166_1f70_1aab_76f4,
+    );
+    pin(
+        "figure2",
+        debug_hash(&figure2(&scale)),
+        0x7ec6_80be_c694_62f6,
+    );
+    pin(
+        "figure3",
+        debug_hash(&figure3(&scale)),
+        0x766b_a8f4_0141_9435,
+    );
 }
 
 #[test]
@@ -153,7 +160,11 @@ fn rollout_figures_are_pinned() {
     let scale = Scale::small();
     let fig5 = figure5(&scale);
     pin("figure5", debug_hash(&fig5), 0xef7f_a700_5c76_81fb);
-    pin("figure6", debug_hash(&figure6(&scale)), 0xcf12_6ccd_76be_7a0f);
+    pin(
+        "figure6",
+        debug_hash(&figure6(&scale)),
+        0xcf12_6ccd_76be_7a0f,
+    );
     pin(
         "figure7",
         debug_hash(&figure7(&scale, fig5.1)),

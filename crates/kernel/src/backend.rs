@@ -107,6 +107,24 @@ impl BackendConfig {
         }
     }
 
+    /// A plausible Optane-DIMM-like device tier (§8's sub-µs tier-1):
+    /// 300 ns loads, 700 ns stores, ideal bandwidth and no queueing, so
+    /// per-op costs are exactly those latencies. Capacity is in base-page
+    /// *frames*, fixed at provisioning time: a huge page is one
+    /// [`PageTable`](crate::page_table::PageTable) entry but demotes
+    /// frame by frame after splitting.
+    pub fn nvm_like(capacity: PageCount) -> Self {
+        BackendConfig {
+            kind: BackendKind::SimulatedSsd,
+            capacity,
+            load_ns: 300,
+            store_ns: 700,
+            bandwidth_bytes_per_us: 0,
+            queue_depth: 1,
+            cost_nanocents_per_byte: 0,
+        }
+    }
+
     /// A plausible datacenter NVMe SSD tier: tens-of-µs latency class,
     /// ~2 GB/s of device bandwidth shared across a queue depth of 8, and
     /// a hard capacity.
@@ -574,6 +592,44 @@ mod tests {
         assert_eq!(ssd.stats().full_rejections, 1);
         assert_eq!(ssd.free(), PageCount::ZERO);
         assert!(!ssd.has_room());
+    }
+
+    #[test]
+    fn nvm_like_keeps_exact_per_op_costs() {
+        let cfg = BackendConfig::nvm_like(PageCount::new(10));
+        // Infinite bandwidth, queue depth 1: the backend charges exactly
+        // the configured latencies.
+        assert_eq!(cfg.fault_ns(), 300);
+        assert_eq!(cfg.store_op_ns(), 700);
+        let mut dev = cfg.build();
+        dev.store_page();
+        dev.load_page();
+        assert_eq!(dev.stats().ns_charged, 1_000);
+    }
+
+    #[test]
+    fn nvm_like_stats_count_every_movement() {
+        let mut dev = BackendConfig::nvm_like(PageCount::new(2)).build();
+        dev.store_page();
+        dev.store_page();
+        assert!(dev.store_page().is_none());
+        dev.load_page();
+        let stats = dev.stats();
+        assert_eq!(stats.resident_pages, 1);
+        assert_eq!(stats.stores, 2);
+        assert_eq!(stats.loads, 1);
+        assert_eq!(stats.full_rejections, 1);
+        assert_eq!(stats.ns_charged, 2 * 700 + 300);
+    }
+
+    #[test]
+    fn nvm_like_capacity_is_hard() {
+        let mut dev = BackendConfig::nvm_like(PageCount::new(2)).build();
+        assert!(dev.store_page().is_some());
+        assert!(dev.store_page().is_some());
+        assert!(dev.store_page().is_none(), "third store must reject");
+        assert_eq!(dev.stats().full_rejections, 1);
+        assert_eq!(dev.free(), PageCount::ZERO);
     }
 
     #[test]

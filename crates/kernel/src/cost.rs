@@ -144,10 +144,7 @@ impl CostModel {
     /// at the realized ratio. Rounds up; never less than 1 for a non-empty
     /// store.
     pub fn store_frames(&self, pages: u64) -> u64 {
-        if pages == 0 {
-            return 0;
-        }
-        (pages * 1000).div_ceil(self.ratio_permille.max(1000) as u64)
+        crate::far_state::store_frames(pages, self.ratio_permille)
     }
 
     /// Compressed bytes `pages` stored pages occupy at the realized ratio.

@@ -11,7 +11,6 @@ use crate::kstaled::{self, ScanOutcome};
 use crate::memcg::{MemCgroup, MemcgStats};
 use crate::page::{Page, PageContent, PageState};
 use crate::prefetch::PrefetchConfig;
-use crate::tiering::{Tier1Config, Tier1Stats};
 use crate::writeback::{
     self, DemotionOutcome, HostPressureOutcome, LifecycleOutcome, StorePressure, WritebackOutcome,
 };
@@ -125,13 +124,6 @@ impl Kernel {
         }
     }
 
-    /// Attaches an NVM-like tier-1 device (two-tier far memory, §8) —
-    /// the two-backend special case of [`enable_chain`](Self::enable_chain):
-    /// the device (warmest) followed by compressed RAM.
-    pub fn enable_tier1(&mut self, config: Tier1Config) {
-        self.enable_chain(&[config.backend(), BackendConfig::compressed_ram()]);
-    }
-
     /// Attaches a demotion chain of far-memory tiers, warmest first (e.g.
     /// `[compressed RAM, SSD, remote]` for the three-tier ladder).
     /// Replaces any chain attached earlier; pages already demoted to a
@@ -149,14 +141,6 @@ impl Kernel {
     /// Per-tier backend counters, in chain order, if a chain is attached.
     pub fn chain_stats(&self) -> Option<Vec<BackendStats>> {
         self.chain.as_ref().map(|c| c.stats())
-    }
-
-    /// Tier-1 device counters (the first device tier of the chain), if a
-    /// chain with a device tier is attached.
-    pub fn tier1_stats(&self) -> Option<Tier1Stats> {
-        let chain = self.chain.as_ref()?;
-        let first = chain.first_device_index()?;
-        chain.tier(first).map(|t| t.stats().into())
     }
 
     /// The configuration this kernel booted with.
@@ -625,7 +609,6 @@ impl Kernel {
     /// [`KernelError::NoSuchMemcg`] if the job has no memcg;
     /// [`KernelError::Tier1Missing`] if no chain with a device tier
     /// warmer than compressed RAM is attached (call
-    /// [`enable_tier1`](Self::enable_tier1) or
     /// [`enable_chain`](Self::enable_chain) first — chains whose devices
     /// all sit *below* compressed RAM demote via
     /// [`demote_job`](Self::demote_job) instead).
@@ -1348,11 +1331,14 @@ mod tests {
 
     #[test]
     fn tier_faults_and_demotions_charge_cpu_tier_io() {
-        // Regression: Tier1Stats::ns_charged used to accumulate on the
-        // device but never flow into CpuAccounting.
+        // Regression: the device's `ns_charged` used to accumulate on the
+        // backend but never flow into CpuAccounting.
         let (mut k, job) = kernel_with_job(10_000, 10_000);
         k.set_zswap_enabled(job, true).unwrap();
-        k.enable_tier1(crate::Tier1Config::nvm_like(PageCount::new(100)));
+        k.enable_chain(&[
+            BackendConfig::nvm_like(PageCount::new(100)),
+            BackendConfig::compressed_ram(),
+        ]);
         k.alloc_pages(job, 10, |_| PageContent::synthetic_of_len(600))
             .unwrap();
         for _ in 0..2 {

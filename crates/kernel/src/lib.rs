@@ -44,6 +44,7 @@
 pub mod backend;
 pub mod cost;
 mod error;
+pub mod far_state;
 #[allow(clippy::module_inception)]
 mod kernel;
 pub mod kreclaimd;
@@ -53,7 +54,6 @@ pub mod page;
 pub mod page_table;
 pub mod prefetch;
 pub mod thermostat;
-pub mod tiering;
 pub mod writeback;
 pub mod zswap;
 
@@ -62,6 +62,7 @@ pub use backend::{
 };
 pub use cost::{CostModel, CostSource, CpuAccounting};
 pub use error::KernelError;
+pub use far_state::{FarPolicy, FarState, FarWindow};
 pub use kernel::{Kernel, KernelConfig, MachineStats};
 pub use memcg::{MemCgroup, MemcgStats};
 pub use page::{Page, PageContent, PageState};
@@ -70,7 +71,6 @@ pub use prefetch::{
     PrefetchConfig, PrefetchMode, PrefetchPolicy, PrefetchWindowCounts, Prefetcher,
 };
 pub use thermostat::{ThermostatEstimate, ThermostatSampler};
-pub use tiering::{Tier1Config, Tier1Stats};
 pub use writeback::{
     DemotionOutcome, HostPressureOutcome, LifecycleOutcome, StorePressure, StorePressureSource,
     WritebackOutcome,

@@ -170,9 +170,12 @@ fn split_preserves_page_ids_and_frees_cleanly() {
 
 #[test]
 fn tiered_reclaim_splits_huge_pages_before_either_tier() {
-    use sdfm_kernel::Tier1Config;
+    use sdfm_kernel::BackendConfig;
     let (mut k, job) = kernel(10_000);
-    k.enable_tier1(Tier1Config::nvm_like(PageCount::new(600)));
+    k.enable_chain(&[
+        BackendConfig::nvm_like(PageCount::new(600)),
+        BackendConfig::compressed_ram(),
+    ]);
     k.alloc_huge_pages(job, 2, |_| PageContent::synthetic_of_len(700))
         .unwrap();
     k.set_zswap_enabled(job, true).unwrap();
@@ -187,7 +190,7 @@ fn tiered_reclaim_splits_huge_pages_before_either_tier() {
     // Warm-cold frames fill the 600-page device; the rest stays resident
     // (they are younger than the 40-scan zswap threshold).
     assert_eq!(s.demoted_total(), 600);
-    assert_eq!(k.tier1_stats().unwrap().resident, 600);
+    assert_eq!(k.chain_stats().unwrap()[0].resident_pages, 600);
     assert_eq!(
         s.resident_pages + s.demoted_total() + s.zswapped_pages,
         2 * HUGE_SPAN as u64,

@@ -2,7 +2,7 @@
 //! interleavings of accesses, scans, reclaims, and frees.
 
 use proptest::prelude::*;
-use sdfm_kernel::{Kernel, KernelConfig, PageContent, Tier1Config};
+use sdfm_kernel::{BackendConfig, Kernel, KernelConfig, PageContent};
 use sdfm_types::histogram::PageAge;
 use sdfm_types::ids::{JobId, PageId};
 use sdfm_types::size::PageCount;
@@ -121,7 +121,10 @@ proptest! {
             capacity: PageCount::new(4_000),
             ..KernelConfig::default()
         });
-        kernel.enable_tier1(Tier1Config::nvm_like(PageCount::new(nvm)));
+        kernel.enable_chain(&[
+            BackendConfig::nvm_like(PageCount::new(nvm)),
+            BackendConfig::compressed_ram(),
+        ]);
         let job = JobId::new(1);
         kernel.create_memcg(job, PageCount::new(8_000)).unwrap();
         kernel
@@ -154,15 +157,15 @@ proptest! {
                 }
             }
             check_conservation(&kernel, job, live);
-            let tier1 = kernel.tier1_stats().expect("device attached");
+            let device = kernel.chain_stats().expect("chain attached")[0];
             prop_assert_eq!(
-                tier1.resident,
+                device.resident_pages,
                 kernel.memcg(job).unwrap().stats().demoted_total()
             );
-            prop_assert!(tier1.resident <= nvm, "device overfilled");
+            prop_assert!(device.resident_pages <= nvm, "device overfilled");
         }
         kernel.remove_memcg(job).unwrap();
-        prop_assert_eq!(kernel.tier1_stats().unwrap().resident, 0);
+        prop_assert_eq!(kernel.chain_stats().unwrap()[0].resident_pages, 0);
     }
 
     /// Three-tier kernel (zswap → SSD → remote): conservation holds across
@@ -173,7 +176,7 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..60),
         ssd in 10u64..120,
     ) {
-        use sdfm_kernel::{BackendConfig, StorePressure};
+        use sdfm_kernel::StorePressure;
         let mut kernel = Kernel::new(KernelConfig {
             capacity: PageCount::new(4_000),
             ..KernelConfig::default()

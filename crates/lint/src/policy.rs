@@ -138,6 +138,8 @@ pub fn skip_entirely(rel_path: &str) -> bool {
         || p.contains("/target/")
         || p.starts_with(".git/")
         || p.starts_with("crates/lint/")
+        // Its own `[workspace]`: never part of this workspace's call graph.
+        || p.starts_with("benchmark/")
 }
 
 /// Computes the scope for a workspace-relative path.
@@ -321,5 +323,6 @@ mod tests {
         assert!(skip_entirely("vendor/rand/src/lib.rs"));
         assert!(skip_entirely("target/debug/build/foo.rs"));
         assert!(skip_entirely("crates/lint/src/main.rs"));
+        assert!(skip_entirely("benchmark/src/trace.rs"));
     }
 }

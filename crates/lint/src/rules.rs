@@ -307,8 +307,9 @@ pub fn scan(tokens: &[Token]) -> Vec<Hit> {
                 rule: Rule::T1,
                 line: t.line,
                 token: i,
-                message: "`thread::spawn` detaches past the window barrier; use crossbeam \
-                          scoped threads so workers cannot outlive the state they borrow"
+                message: "`thread::spawn` detaches past the window barrier; use \
+                          `sdfm_pool::WorkerPool` or `std::thread::scope` so workers cannot \
+                          outlive the state they borrow"
                     .to_string(),
             }),
             _ if PANICKING_CALLS.contains(&ident)

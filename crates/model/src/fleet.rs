@@ -5,10 +5,10 @@ use std::sync::OnceLock;
 
 use sdfm_pool::WorkerPool;
 
-use crate::replay::{replay_job_with_model, JobReplayOutcome};
+use crate::replay::{replay_job, JobReplayOutcome};
 use crate::trace::JobTrace;
 use sdfm_agent::{AgentParams, SloConfig};
-use sdfm_kernel::{CostModel, StorePressure};
+use sdfm_kernel::{ChainPolicy, CostModel, PrefetchPolicy, StorePressure};
 use sdfm_types::rate::NormalizedPromotionRate;
 use sdfm_types::stats::{percentile, Percentile};
 
@@ -28,6 +28,13 @@ pub struct ModelConfig {
     /// [`CostModel::measured_ratios`] or a calibrated model to drive the
     /// fast model off realized ratios.
     pub cost: CostModel,
+    /// Optional three-tier demotion chain below the store, as in
+    /// `FleetSimConfig::chain`. `None` (the default) replays two tiers.
+    pub chain: Option<ChainPolicy>,
+    /// Optional correlation-prefetch policy, as in
+    /// `FleetSimConfig::prefetch`. `None` (the default) replays demand
+    /// faults only.
+    pub prefetch: Option<PrefetchPolicy>,
 }
 
 impl ModelConfig {
@@ -38,6 +45,8 @@ impl ModelConfig {
             slo: SloConfig::default(),
             pressure: StorePressure::PAPER_DEFAULT,
             cost: CostModel::PAPER_DEFAULT,
+            chain: None,
+            prefetch: None,
         }
     }
 
@@ -166,13 +175,7 @@ impl FarMemoryModel {
             .flat_map(|c| {
                 trace_chunks.iter().map(move |tc| {
                     let tc = *tc;
-                    move || {
-                        tc.iter()
-                            .map(|t| {
-                                replay_job_with_model(t, &c.params, &c.slo, c.pressure, &c.cost)
-                            })
-                            .collect::<Vec<_>>()
-                    }
+                    move || tc.iter().map(|t| replay_job(t, c)).collect::<Vec<_>>()
                 })
             })
             .collect();
@@ -206,39 +209,13 @@ impl FarMemoryModel {
         }
         let workers = threads.min(self.traces.len());
         if workers <= 1 {
-            return self
-                .traces
-                .iter()
-                .map(|t| {
-                    replay_job_with_model(
-                        t,
-                        &config.params,
-                        &config.slo,
-                        config.pressure,
-                        &config.cost,
-                    )
-                })
-                .collect();
+            return self.traces.iter().map(|t| replay_job(t, config)).collect();
         }
         let chunk = self.traces.len().div_ceil(workers);
         let tasks: Vec<_> = self
             .traces
             .chunks(chunk)
-            .map(|tc| {
-                move || {
-                    tc.iter()
-                        .map(|t| {
-                            replay_job_with_model(
-                                t,
-                                &config.params,
-                                &config.slo,
-                                config.pressure,
-                                &config.cost,
-                            )
-                        })
-                        .collect::<Vec<_>>()
-                }
-            })
+            .map(|tc| move || tc.iter().map(|t| replay_job(t, config)).collect::<Vec<_>>())
             .collect();
         self.pool()
             .run(tasks)

@@ -31,8 +31,5 @@ mod replay;
 mod trace;
 
 pub use fleet::{FarMemoryModel, FleetModelResult, ModelConfig};
-pub use replay::{
-    replay_job, replay_job_with_chain, replay_job_with_model, replay_job_with_prefetch,
-    replay_job_with_pressure, JobReplayOutcome, WindowOutcome,
-};
+pub use replay::{replay_job, replay_job_with_model, JobReplayOutcome, WindowOutcome};
 pub use trace::{group_traces, JobTrace};

@@ -1,8 +1,9 @@
 //! Offline replay of the §4.3 control algorithm over one job's trace.
 
+use crate::fleet::ModelConfig;
 use crate::trace::JobTrace;
 use sdfm_agent::{best_threshold_for_window, AgentParams, JobController, SloConfig};
-use sdfm_kernel::{ChainPolicy, CostModel, PrefetchPolicy, PrefetchWindowCounts, StorePressure};
+use sdfm_kernel::{CostModel, FarPolicy, FarState, StorePressure};
 use sdfm_types::histogram::{PageAge, PromotionHistogram};
 use sdfm_types::rate::{NormalizedPromotionRate, PromotionRate};
 use sdfm_types::time::SimTime;
@@ -113,83 +114,31 @@ impl JobReplayOutcome {
     }
 }
 
-/// Replays the control algorithm over one job's trace under `(K, S)`,
+/// Replays the control algorithm over one job's trace under `config`,
 /// mirroring [`sdfm_agent::JobController`] at trace granularity: the
 /// threshold in force for window *i* is
 /// `max(K-th percentile of best[0..i], best[i−1])`, zswap is off for the
 /// first `S` seconds, and each window is then charged the promotions and
 /// credited the cold memory its own histograms imply for that threshold.
-pub fn replay_job(trace: &JobTrace, params: &AgentParams, slo: &SloConfig) -> JobReplayOutcome {
-    replay_job_with_pressure(trace, params, slo, StorePressure::PAPER_DEFAULT)
-}
-
-/// [`replay_job`] with an explicit store-lifecycle policy: while zswap is
-/// enabled the store tracks the window's cold pages; while disabled it
-/// decays by `pressure` per window, mirroring the page-level simulator's
-/// writeback behavior instead of pretending the store evaporates (or,
-/// worse, lives forever).
-pub fn replay_job_with_pressure(
-    trace: &JobTrace,
-    params: &AgentParams,
-    slo: &SloConfig,
-    pressure: StorePressure,
-) -> JobReplayOutcome {
-    replay_job_with_model(trace, params, slo, pressure, &CostModel::PAPER_DEFAULT)
-}
-
-/// [`replay_job_with_pressure`] with an explicit [`CostModel`]: the
-/// store's physical footprint ([`WindowOutcome::store_frames`]) is sized
-/// by the model's realized compression ratio, so a model calibrated or
-/// measured against the real codecs propagates its ratio into the fast
-/// model's store trajectory instead of the paper's 3× constant.
-pub fn replay_job_with_model(
-    trace: &JobTrace,
-    params: &AgentParams,
-    slo: &SloConfig,
-    pressure: StorePressure,
-    cost: &CostModel,
-) -> JobReplayOutcome {
-    replay_job_with_chain(trace, params, slo, pressure, cost, None)
-}
-
-/// [`replay_job_with_model`] with an optional three-tier demotion chain:
-/// each window one decay step of the store's coldest pages sinks to the
-/// SSD tier (up to the policy's per-job quota, overflowing to remote),
-/// and a disabled job's store demotes down the ladder instead of writing
-/// back — the same recurrence the fleet simulator runs, so the fast model
-/// mirrors its three-tier trajectory exactly. `None` reproduces
-/// [`replay_job_with_model`] bit for bit.
-pub fn replay_job_with_chain(
-    trace: &JobTrace,
-    params: &AgentParams,
-    slo: &SloConfig,
-    pressure: StorePressure,
-    cost: &CostModel,
-    chain: Option<ChainPolicy>,
-) -> JobReplayOutcome {
-    replay_job_with_prefetch(trace, params, slo, pressure, cost, chain, None)
-}
-
-/// [`replay_job_with_chain`] with an optional correlation-prefetch
-/// policy: each enabled window runs the same
-/// [`PrefetchPolicy::window_counts`] recurrence as the fleet simulator —
-/// hidden faults leave `promotions` (they no longer stall the job), and
-/// the issued/used/wasted/late split lands in the outcome's prefetch
-/// counters. `None` reproduces [`replay_job_with_chain`] bit for bit.
-#[allow(clippy::too_many_arguments)]
-pub fn replay_job_with_prefetch(
-    trace: &JobTrace,
-    params: &AgentParams,
-    slo: &SloConfig,
-    pressure: StorePressure,
-    cost: &CostModel,
-    chain: Option<ChainPolicy>,
-    prefetch: Option<PrefetchPolicy>,
-) -> JobReplayOutcome {
+///
+/// The store, demotion-chain, and prefetch trajectory is
+/// [`FarState::step`] — the same recurrence the fleet simulator runs, so
+/// the fast model mirrors it by construction: while zswap is enabled the
+/// tiers partition the window's cold pages; while disabled the store
+/// decays under `config.pressure` (down the chain if one is configured)
+/// instead of vanishing; hidden faults leave `promotions`. The store's
+/// physical footprint is sized by `config.cost`'s realized ratio.
+pub fn replay_job(trace: &JobTrace, config: &ModelConfig) -> JobReplayOutcome {
+    let ModelConfig {
+        params, slo, cost, ..
+    } = config;
+    let policy = FarPolicy {
+        pressure: config.pressure,
+        chain: config.chain,
+        prefetch: config.prefetch,
+    };
     let mut windows = Vec::with_capacity(trace.records.len());
-    let mut store: u64 = 0;
-    let mut ssd: u64 = 0;
-    let mut remote: u64 = 0;
+    let mut state = FarState::default();
     let mut pool: Vec<PageAge> = Vec::new();
     let empty = PromotionHistogram::new();
     // Job start: one window before the first record.
@@ -221,65 +170,26 @@ pub fn replay_job_with_prefetch(
         } else {
             (0, 0)
         };
-        // The shared prefetch recurrence: `used` faults are fully hidden
-        // and leave the demand promotion count; `late` predictions were
-        // right but lost the race and still stall.
-        let pf = match prefetch {
-            Some(p) if enabled => p.window_counts(promos),
-            _ => PrefetchWindowCounts::default(),
-        };
-        let demand_promos = promos - pf.used;
-        let rate =
-            PromotionRate::from_count(demand_promos, record.window).normalized(record.working_set);
-        // The store trajectory, chain-aware: while enabled the job's
-        // *total* far footprint tracks `cold` — device residency comes
-        // off the top (shrinkage faults the warmest device pages back,
-        // SSD before remote) and the store holds the rest. While
-        // disabled, a chain demotes the dead store down the ladder; bare
-        // zswap writes it back.
-        if enabled {
-            let device = ssd + remote;
-            store = if cold >= device {
-                cold - device
-            } else {
-                let mut need = device - cold;
-                let from_ssd = need.min(ssd);
-                ssd -= from_ssd;
-                need -= from_ssd;
-                remote -= need.min(remote);
-                0
-            };
-        } else if chain.is_none() {
-            store = pressure.store_after_window(store);
-        }
-        // Demotion trickle: one decay step of the store's coldest pages
-        // sinks to the SSD tier up to the quota, overflowing to remote —
-        // mirroring the fleet simulator's per-window step.
-        if let Some(cp) = chain {
-            let policy = if enabled { cp.demote } else { pressure };
-            let step = policy.decay_step(store);
-            let to_ssd = step.min(cp.ssd_quota_pages.saturating_sub(ssd));
-            store -= step;
-            ssd += to_ssd;
-            remote += step - to_ssd;
-        }
+        let far = state.step(enabled, cold, promos, &policy);
+        let rate = PromotionRate::from_count(far.demand_promotions, record.window)
+            .normalized(record.working_set);
         windows.push(WindowOutcome {
             at: record.at,
             enabled,
             threshold,
             cold_pages: cold,
             potential_cold_pages: potential,
-            promotions: demand_promos,
+            promotions: far.demand_promotions,
             working_set: record.working_set.get(),
             normalized_rate: rate,
-            store_pages: store,
-            store_frames: cost.store_frames(store),
-            ssd_pages: ssd,
-            remote_pages: remote,
-            prefetch_issued: pf.issued,
-            prefetch_used: pf.used,
-            prefetch_wasted: pf.wasted,
-            prefetch_late: pf.late,
+            store_pages: state.store_pages,
+            store_frames: cost.store_frames(state.store_pages),
+            ssd_pages: state.ssd_pages,
+            remote_pages: state.remote_pages,
+            prefetch_issued: far.prefetch.issued,
+            prefetch_used: far.prefetch.used,
+            prefetch_wasted: far.prefetch.wasted,
+            prefetch_late: far.prefetch.late,
         });
 
         // Update the pool with this window's best threshold, mirroring the
@@ -300,6 +210,28 @@ pub fn replay_job_with_prefetch(
     JobReplayOutcome { windows }
 }
 
+// Kept only for `benchmark/src/workloads/autotune.rs:179`, which is frozen
+// in the PR that reshaped `replay_job`; the next `benchmark` PR drops it.
+#[doc(hidden)]
+pub fn replay_job_with_model(
+    trace: &JobTrace,
+    params: &AgentParams,
+    slo: &SloConfig,
+    pressure: StorePressure,
+    cost: &CostModel,
+) -> JobReplayOutcome {
+    let base = ModelConfig::new(*params);
+    replay_job(
+        trace,
+        &ModelConfig {
+            slo: *slo,
+            pressure,
+            cost: *cost,
+            ..base
+        },
+    )
+}
+
 /// Nearest-rank (rounding up) K-th percentile of the pool.
 fn kth_percentile(pool: &[PageAge], k: f64) -> Option<PageAge> {
     if pool.is_empty() {
@@ -316,6 +248,7 @@ fn kth_percentile(pool: &[PageAge], k: f64) -> Option<PageAge> {
 mod tests {
     use super::*;
     use sdfm_agent::TraceRecord;
+    use sdfm_kernel::{ChainPolicy, PrefetchPolicy};
     use sdfm_types::histogram::ColdAgeHistogram;
     use sdfm_types::ids::JobId;
     use sdfm_types::size::PageCount;
@@ -341,8 +274,8 @@ mod tests {
         }
     }
 
-    fn params(k: f64, s_secs: u64) -> AgentParams {
-        AgentParams::new(k, SimDuration::from_secs(s_secs)).unwrap()
+    fn config(k: f64, s_secs: u64) -> ModelConfig {
+        ModelConfig::new(AgentParams::new(k, SimDuration::from_secs(s_secs)).unwrap())
     }
 
     #[test]
@@ -352,7 +285,7 @@ mod tests {
             (1..=4).map(|i| steady_record(i * 300)).collect(),
         );
         // S = 20 minutes: all four 5-minute windows are inside warmup.
-        let out = replay_job(&trace, &params(98.0, 1_200), &SloConfig::default());
+        let out = replay_job(&trace, &config(98.0, 1_200));
         assert_eq!(out.windows.len(), 4);
         for w in &out.windows[..3] {
             assert!(!w.enabled);
@@ -373,7 +306,7 @@ mod tests {
             JobId::new(1),
             (1..=10).map(|i| steady_record(i * 300)).collect(),
         );
-        let out = replay_job(&trace, &params(98.0, 0), &SloConfig::default());
+        let out = replay_job(&trace, &config(98.0, 0));
         let last = out.windows.last().unwrap();
         assert_eq!(last.threshold, PageAge::from_scans(1));
         // All pages at age ≥ 1 scan are in far memory: 4000.
@@ -386,7 +319,7 @@ mod tests {
     #[test]
     fn first_window_is_conservative() {
         let trace = JobTrace::new(JobId::new(1), vec![steady_record(300)]);
-        let out = replay_job(&trace, &params(98.0, 0), &SloConfig::default());
+        let out = replay_job(&trace, &config(98.0, 0));
         assert_eq!(out.windows[0].threshold, PageAge::MAX);
         assert_eq!(out.windows[0].cold_pages, 0, "nothing at age 255 here");
     }
@@ -400,7 +333,7 @@ mod tests {
             .record_promotion(PageAge::from_scans(4), 100_000);
         records.push(steady_record(6 * 300));
         let trace = JobTrace::new(JobId::new(1), records);
-        let out = replay_job(&trace, &params(50.0, 0), &SloConfig::default());
+        let out = replay_job(&trace, &config(50.0, 0));
         // Window 6's decision must reflect window 5's best (≥ 5 scans),
         // not the quiet median.
         assert!(
@@ -416,7 +349,7 @@ mod tests {
             JobId::new(1),
             (1..=3).map(|i| steady_record(i * 300)).collect(),
         );
-        let out = replay_job(&trace, &params(98.0, 0), &SloConfig::default());
+        let out = replay_job(&trace, &config(98.0, 0));
         let w = out.windows.last().unwrap();
         // 10 promotions / 5 min / 6000 pages = 0.0333%/min.
         assert!((w.normalized_rate.percent_per_min() - 0.0333).abs() < 0.001);
@@ -432,7 +365,7 @@ mod tests {
             (1..=8).map(|i| steady_record(i * 300)).collect(),
         );
         // 15-minute warmup: the first two windows replay disabled.
-        let out = replay_job(&trace, &params(98.0, 900), &SloConfig::default());
+        let out = replay_job(&trace, &config(98.0, 900));
         for w in &out.windows {
             if w.enabled {
                 // While zswap is on, the store holds exactly the cold set:
@@ -458,14 +391,12 @@ mod tests {
             JobId::new(1),
             (1..=8).map(|i| steady_record(i * 300)).collect(),
         );
-        let p = params(98.0, 0);
-        let slo = SloConfig::default();
         // A degenerate 1× model: frames equal pages, no savings.
         let unit = CostModel {
             ratio_permille: 1000,
             ..CostModel::PAPER_DEFAULT
         };
-        let out = replay_job_with_model(&trace, &p, &slo, StorePressure::PAPER_DEFAULT, &unit);
+        let out = replay_job(&trace, &config(98.0, 0).with_cost(unit));
         for w in &out.windows {
             assert_eq!(w.store_frames, w.store_pages);
         }
@@ -474,19 +405,9 @@ mod tests {
             ratio_permille: 4000,
             ..CostModel::PAPER_DEFAULT
         };
-        let out = replay_job_with_model(&trace, &p, &slo, StorePressure::PAPER_DEFAULT, &four_x);
+        let out = replay_job(&trace, &config(98.0, 0).with_cost(four_x));
         assert_eq!(out.windows.last().unwrap().store_pages, 4_000);
         assert_eq!(out.windows.last().unwrap().store_frames, 1_000);
-        // The delegating entry point is exactly the paper-default model.
-        let a = replay_job_with_pressure(&trace, &p, &slo, StorePressure::PAPER_DEFAULT);
-        let b = replay_job_with_model(
-            &trace,
-            &p,
-            &slo,
-            StorePressure::PAPER_DEFAULT,
-            &CostModel::PAPER_DEFAULT,
-        );
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -495,17 +416,11 @@ mod tests {
             JobId::new(1),
             (1..=14).map(|i| steady_record(i * 300)).collect(),
         );
-        let p = params(98.0, 0);
-        let slo = SloConfig::default();
-        let cp = ChainPolicy::paper_default(500);
-        let out = replay_job_with_chain(
-            &trace,
-            &p,
-            &slo,
-            StorePressure::PAPER_DEFAULT,
-            &CostModel::PAPER_DEFAULT,
-            Some(cp),
-        );
+        let chained = ModelConfig {
+            chain: Some(ChainPolicy::paper_default(500)),
+            ..config(98.0, 0)
+        };
+        let out = replay_job(&trace, &chained);
         // While enabled, the three tiers exactly partition the cold set —
         // demotion moves pages within far memory, never out of it.
         for w in out.windows.iter().filter(|w| w.enabled) {
@@ -519,24 +434,8 @@ mod tests {
         assert!(last.ssd_pages > 0, "nothing demoted to SSD");
         assert!(last.ssd_pages <= 500, "SSD quota exceeded");
         assert!(last.remote_pages > 0, "quota overflow never reached remote");
-        // `None` reproduces the chain-free replay bit for bit.
-        let a = replay_job_with_chain(
-            &trace,
-            &p,
-            &slo,
-            StorePressure::PAPER_DEFAULT,
-            &CostModel::PAPER_DEFAULT,
-            None,
-        );
-        let b = replay_job_with_model(
-            &trace,
-            &p,
-            &slo,
-            StorePressure::PAPER_DEFAULT,
-            &CostModel::PAPER_DEFAULT,
-        );
-        assert_eq!(a, b);
-        for w in &a.windows {
+        // Without a chain nothing ever reaches a device tier.
+        for w in &replay_job(&trace, &config(98.0, 0)).windows {
             assert_eq!(w.ssd_pages, 0);
             assert_eq!(w.remote_pages, 0);
         }
@@ -549,25 +448,12 @@ mod tests {
             JobId::new(1),
             (1..=10).map(|i| steady_record(i * 300)).collect(),
         );
-        let p = params(98.0, 0);
-        let slo = SloConfig::default();
-        let base = replay_job_with_chain(
-            &trace,
-            &p,
-            &slo,
-            StorePressure::PAPER_DEFAULT,
-            &CostModel::PAPER_DEFAULT,
-            None,
-        );
-        let with = replay_job_with_prefetch(
-            &trace,
-            &p,
-            &slo,
-            StorePressure::PAPER_DEFAULT,
-            &CostModel::PAPER_DEFAULT,
-            None,
-            Some(PrefetchPolicy::paper_default(PrefetchMode::StrideMarkov)),
-        );
+        let base = replay_job(&trace, &config(98.0, 0));
+        let prefetching = ModelConfig {
+            prefetch: Some(PrefetchPolicy::paper_default(PrefetchMode::StrideMarkov)),
+            ..config(98.0, 0)
+        };
+        let with = replay_job(&trace, &prefetching);
         let sum = |o: &JobReplayOutcome, f: fn(&WindowOutcome) -> u64| -> u64 {
             o.windows.iter().map(f).sum()
         };
@@ -581,19 +467,8 @@ mod tests {
             sum(&with, |w| w.promotions) < sum(&base, |w| w.promotions),
             "prefetching hid no demand faults"
         );
-        // `None` reproduces the chain replay bit for bit, with all-zero
-        // counters.
-        let none = replay_job_with_prefetch(
-            &trace,
-            &p,
-            &slo,
-            StorePressure::PAPER_DEFAULT,
-            &CostModel::PAPER_DEFAULT,
-            None,
-            None,
-        );
-        assert_eq!(none, base);
-        for w in &none.windows {
+        // Without a policy every prefetch counter stays zero.
+        for w in &base.windows {
             assert_eq!(
                 w.prefetch_issued + w.prefetch_used + w.prefetch_wasted + w.prefetch_late,
                 0
@@ -602,31 +477,9 @@ mod tests {
     }
 
     #[test]
-    fn replay_job_delegates_to_the_paper_default_pressure() {
-        let trace = JobTrace::new(
-            JobId::new(1),
-            (1..=6).map(|i| steady_record(i * 300)).collect(),
-        );
-        let p = params(97.0, 600);
-        let slo = SloConfig::default();
-        let a = replay_job(&trace, &p, &slo);
-        let b = replay_job_with_pressure(&trace, &p, &slo, StorePressure::PAPER_DEFAULT);
-        assert_eq!(a, b);
-        // A different decay policy is still a pure function of its inputs:
-        // two runs agree exactly.
-        let fast = StorePressure {
-            decay_per_mille: 500,
-            min_decay_pages: 8,
-        };
-        let c = replay_job_with_pressure(&trace, &p, &slo, fast);
-        let d = replay_job_with_pressure(&trace, &p, &slo, fast);
-        assert_eq!(c, d);
-    }
-
-    #[test]
     fn empty_trace_replays_empty() {
         let trace = JobTrace::new(JobId::new(1), vec![]);
-        let out = replay_job(&trace, &params(98.0, 0), &SloConfig::default());
+        let out = replay_job(&trace, &config(98.0, 0));
         assert!(out.windows.is_empty());
         assert_eq!(out.mean_cold_pages(), 0.0);
         assert_eq!(out.mean_coverage(), None);

@@ -54,7 +54,7 @@ proptest! {
     #[test]
     fn replay_outcomes_are_consistent(trace in arb_trace(), k in 0f64..=100.0, s in 0u64..3_600) {
         let params = AgentParams::new(k, SimDuration::from_secs(s)).unwrap();
-        let out = replay_job(&trace, &params, &SloConfig::default());
+        let out = replay_job(&trace, &ModelConfig::new(params));
         prop_assert_eq!(out.windows.len(), trace.len());
         for w in &out.windows {
             if !w.enabled {
@@ -71,13 +71,9 @@ proptest! {
     /// equal): warmup can only disable windows.
     #[test]
     fn warmup_only_removes_savings(trace in arb_trace(), s in 1u64..5_000) {
-        let slo = SloConfig::default();
-        let eager = replay_job(&trace, &AgentParams::new(98.0, SimDuration::ZERO).unwrap(), &slo);
-        let lazy = replay_job(
-            &trace,
-            &AgentParams::new(98.0, SimDuration::from_secs(s)).unwrap(),
-            &slo,
-        );
+        let warmup = |secs| ModelConfig::new(AgentParams::new(98.0, SimDuration::from_secs(secs)).unwrap());
+        let eager = replay_job(&trace, &warmup(0));
+        let lazy = replay_job(&trace, &warmup(s));
         for (e, l) in eager.windows.iter().zip(&lazy.windows) {
             if l.enabled {
                 prop_assert_eq!(e.cold_pages, l.cold_pages,
@@ -124,14 +120,13 @@ proptest! {
     /// more incompressible memory → less far memory and fewer promotions.
     #[test]
     fn incompressibility_shrinks_outcomes(trace in arb_trace()) {
-        let slo = SloConfig::default();
-        let params = AgentParams::new(90.0, SimDuration::ZERO).unwrap();
-        let base = replay_job(&trace, &params, &slo);
+        let config = ModelConfig::new(AgentParams::new(90.0, SimDuration::ZERO).unwrap());
+        let base = replay_job(&trace, &config);
         let mut worse = trace.clone();
         for r in &mut worse.records {
             r.incompressible_fraction = (r.incompressible_fraction + 0.3).min(1.0);
         }
-        let shrunk = replay_job(&worse, &params, &slo);
+        let shrunk = replay_job(&worse, &config);
         for (b, s) in base.windows.iter().zip(&shrunk.windows) {
             prop_assert!(s.cold_pages <= b.cold_pages);
             prop_assert!(s.promotions <= b.promotions);

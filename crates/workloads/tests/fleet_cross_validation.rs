@@ -123,7 +123,7 @@ fn stat_model_tracks_the_kernel_across_all_clusters() {
 /// The store-flush window: once zswap is disabled, the page-level store
 /// must drain along the exact integer sequence
 /// `z → store_after_window(z) → … → 0` — the same recurrence
-/// `sdfm_model::replay_job_with_pressure` applies — with every written-back
+/// `sdfm_kernel::FarState::step` applies to a disabled store — with every written-back
 /// page charged as a decompression. This is the contract that lets the
 /// fast model claim its store trajectory cross-validates against the
 /// kernel during a flush.
