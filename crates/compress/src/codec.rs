@@ -4,7 +4,7 @@
 //! The paper's production system compared lzo, lz4, and snappy and chose lzo
 //! for the best speed/ratio trade-off (§5.1, footnote 1). We implement all
 //! three families from scratch so that the trade-off itself can be
-//! reproduced (the `codecs` bench and the `table_fn1` experiment binary):
+//! reproduced (the `table_fn1` experiment binary):
 //!
 //! * [`Lz4Codec`] encodes the real LZ4 *block* format (token nibbles,
 //!   extended lengths, 2-byte little-endian offsets);
@@ -497,9 +497,8 @@ impl PageCodec for SnappyCodec {
 ///
 /// The encoder's match-finder chain depth is configurable
 /// ([`LzoCodec::with_depth`]): depth 1 (the default, and what
-/// [`CodecKind::build`] ships) is the paper's cheapest-possible regime; the
-/// `codecs` bench profiles deeper chains to measure the ratio/cycles
-/// trade-off on fleet-mix pages. The stream format is identical at every
+/// [`CodecKind::build`] ships) is the paper's cheapest-possible regime;
+/// deeper chains trade cycles for ratio. The stream format is identical at every
 /// depth — only the matches the encoder finds change.
 #[derive(Debug)]
 pub struct LzoCodec {

@@ -39,7 +39,6 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod codec;
 pub mod gen;
 mod lz;
@@ -47,7 +46,6 @@ pub mod measure;
 pub mod page;
 pub mod zsmalloc;
 
-pub use batch::{compress_many, decompress_many};
 pub use codec::{CodecKind, DecompressError, Lz4Codec, LzoCodec, PageCodec, SnappyCodec};
 pub use gen::{CompressibilityMix, PageClass, PageGenerator};
 pub use measure::{measure_fleet_ratios, ClassPayloadStats, ClassPayloadTable, MeasuredRatios};

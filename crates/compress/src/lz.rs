@@ -6,8 +6,7 @@
 //! "spend as few cycles as possible" regime the paper's production
 //! deployment chose (lzo over stronger codecs, §5.1 footnote). A bounded
 //! hash *chain* ([`MatchFinder::with_chain`]) trades more probes for a
-//! better ratio; the `codecs` bench profiles that trade-off on 4 KiB
-//! fleet-mix pages so the depth choice is measured, not asserted.
+//! better ratio.
 
 /// A back-reference found by the match finder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -11,8 +11,8 @@
 //!   derive per-job realized ratios from this table and a job's
 //!   [`CompressibilityMix`], replacing the static modeled constants.
 //! * [`MeasuredRatios`] — the fleet-mix ratio distribution (histogram,
-//!   median, aggregate) that the `codecs` bench emits and the acceptance
-//!   tests check against the paper's ~3× regime.
+//!   median, aggregate) that the acceptance tests check against the
+//!   paper's ~3× regime.
 //!
 //! Everything here is a pure function of `(codec, seed, sample size)` — no
 //! wall clock, no ambient randomness — so simulators seeded with these

@@ -36,21 +36,14 @@ use sdfm_workloads::fleet::FleetSpec;
 use sdfm_workloads::profile::JobProfile;
 use sdfm_workloads::{PageLevelDriver, StatJobModel, WindowObservation};
 
-/// Errors from the fleet window step. These all indicate a simulator
-/// invariant breaking mid-window — a worker dying or the sharded
-/// reassembly losing a job — and are surfaced as typed values so callers
-/// decide whether to abort or retry instead of the simulator panicking.
+/// Errors from the fleet window step: a simulator invariant broke
+/// mid-window. Surfaced as typed values so callers decide whether to
+/// abort or retry instead of the simulator panicking.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FleetSimError {
     /// A parallel window worker panicked; the payload is the panic
     /// message surfaced by the engine.
     WorkerPanicked(String),
-    /// The machine-boundary shard cuts failed to cover a job: the slot at
-    /// `index` came back empty during index-ordered reassembly.
-    MissingJobSlot {
-        /// The original job index whose window stat never arrived.
-        index: usize,
-    },
 }
 
 impl std::fmt::Display for FleetSimError {
@@ -58,9 +51,6 @@ impl std::fmt::Display for FleetSimError {
         match self {
             FleetSimError::WorkerPanicked(msg) => {
                 write!(f, "fleet window worker panicked: {msg}")
-            }
-            FleetSimError::MissingJobSlot { index } => {
-                write!(f, "job index {index} missing from sharded window step")
             }
         }
     }
@@ -406,7 +396,7 @@ struct SimJob {
     far: FarState,
 }
 
-// The parallel window step hands chunks of jobs to scoped worker threads;
+// The parallel window step hands chunks of jobs to pool worker threads;
 // everything a job owns (the stat model with its RNG, the real controller)
 // must therefore cross thread boundaries.
 const _: () = {
@@ -424,10 +414,6 @@ pub struct FleetSim {
     now: SimTime,
     next_id: u64,
     rng: StdRng,
-    /// Per-worker output buffers — `(original job index, stat)` pairs,
-    /// kept across windows so the parallel step's per-segment output
-    /// allocates nothing in steady state.
-    scratch: Vec<Vec<(usize, JobWindowStat)>>,
     /// The persistent worker pool, created lazily on the first parallel
     /// window and shut down — workers joined — when the simulator drops.
     pool: OnceLock<WorkerPool>,
@@ -457,7 +443,6 @@ impl FleetSim {
             now: SimTime::ZERO + DAY,
             next_id: 1,
             rng: StdRng::seed_from_u64(seed),
-            scratch: Vec::new(),
             pool: OnceLock::new(),
             cpu: CpuAccounting::default(),
         };
@@ -691,20 +676,18 @@ impl FleetSim {
     /// Advances one window and returns the fleet stats.
     ///
     /// The per-job work fans out across [`FleetSimConfig::threads`]
-    /// workers on the simulator's persistent [`WorkerPool`], sharded at
-    /// *machine* granularity (segment cuts fall only on machine
-    /// boundaries, and results are reassembled by original job index, so
-    /// scheduling never reaches the output); job churn then
-    /// runs sequentially on the sim-level RNG. The result — including the
-    /// order of `per_job` and the RNG stream — is bit-for-bit identical
-    /// at any thread count.
+    /// workers on the simulator's persistent [`WorkerPool`] in contiguous
+    /// chunks of the job list (each job's state is self-contained and
+    /// results are appended in chunk order, so scheduling never reaches
+    /// the output); job churn then runs sequentially on the sim-level
+    /// RNG. The result — including the order of `per_job` and the RNG
+    /// stream — is bit-for-bit identical at any thread count.
     ///
     /// # Errors
     ///
-    /// [`FleetSimError`] when a parallel worker panics or the sharded
-    /// reassembly comes back with a hole — both simulator bugs surfaced
-    /// as typed values rather than panics, so harnesses decide how to
-    /// fail. The window's side effects (job state, CPU ledger) are
+    /// [`FleetSimError`] when a window worker panics — a simulator bug
+    /// surfaced as a typed value rather than a panic, so harnesses decide
+    /// how to fail. The window's side effects (job state, CPU ledger) are
     /// undefined after an error; callers should not step further.
     pub fn step_window(&mut self) -> Result<FleetWindowStats, FleetSimError> {
         self.now += self.config.window;
@@ -730,98 +713,41 @@ impl FleetSim {
             prefetch_used: 0,
             prefetch_wasted: 0,
             prefetch_late: 0,
-            per_job: Vec::with_capacity(self.jobs.len()),
+            per_job: Vec::new(),
         };
 
-        let workers = self.config.threads.max(1).min(self.jobs.len().max(1));
-        if workers <= 1 {
-            for j in &mut self.jobs {
-                stats
-                    .per_job
-                    .push(Self::step_job(j, now, window, min_threshold, &policy));
-            }
-        } else {
-            // Shard at MACHINE granularity. Jobs are ordered by index
-            // pairs — `self.jobs` itself never moves, so the churn RNG
-            // sequence and `per_job` order are untouched — into
-            // cluster-major machine order, and segment cuts fall only on
-            // machine boundaries. All of one machine's jobs (in
-            // particular a page-level kernel and its co-resident
-            // neighbors) therefore step on a single worker, and the sort
-            // and cut points are pure functions of the job list, so the
-            // partition — and with it the output — is identical at any
-            // thread count.
-            let mut order: Vec<(usize, &mut SimJob)> =
-                self.jobs.iter_mut().enumerate().collect();
-            order.sort_by_key(|(i, j)| (j.cluster_idx, j.machine, *i));
-            let len = order.len();
-            let target = len.div_ceil(workers);
-            // Segment lengths: close a segment at the first machine
-            // boundary at or past the per-worker target.
-            let mut seg_lens: Vec<usize> = Vec::with_capacity(workers);
-            let mut start = 0usize;
-            for k in 1..=len {
-                let boundary = k == len || {
-                    let a = &order[k - 1].1;
-                    let b = &order[k].1;
-                    (a.cluster_idx, a.machine) != (b.cluster_idx, b.machine)
-                };
-                if boundary && k - start >= target {
-                    seg_lens.push(k - start);
-                    start = k;
+        // `step_job` reads and writes only its own `SimJob` (a page-level
+        // job owns its kernel), so contiguous chunks of the job list are
+        // independent tasks, and the pool returns their results in
+        // submission order: appending them reproduces the sequential
+        // `per_job` order at any thread count.
+        let threads = self.config.threads.max(1);
+        let chunk = self.jobs.len().div_ceil(threads).max(1);
+        let pool = self.pool.get_or_init(|| WorkerPool::new(threads));
+        let policy = &policy;
+        let tasks: Vec<_> = self
+            .jobs
+            .chunks_mut(chunk)
+            .map(|jobs| {
+                move || {
+                    jobs.iter_mut()
+                        .map(|j| Self::step_job(j, now, window, min_threshold, policy))
+                        .collect::<Vec<_>>()
                 }
-            }
-            if start < len {
-                seg_lens.push(len - start);
-            }
-            let mut segments: Vec<&mut [(usize, &mut SimJob)]> =
-                Vec::with_capacity(seg_lens.len());
-            let mut rest = order.as_mut_slice();
-            for &n in &seg_lens {
-                let tmp = rest;
-                let (seg, tail) = tmp.split_at_mut(n);
-                segments.push(seg);
-                rest = tail;
-            }
-            self.scratch.resize_with(segments.len(), Vec::new);
-            let threads = self.config.threads;
-            let pool = self.pool.get_or_init(|| WorkerPool::new(threads));
-            let policy = &policy;
-            let tasks: Vec<_> = segments
-                .into_iter()
-                .zip(self.scratch.iter_mut())
-                .map(|(seg, buf)| {
-                    move || {
-                        buf.clear();
-                        buf.extend(seg.iter_mut().map(|(i, j)| {
-                            (*i, Self::step_job(j, now, window, min_threshold, policy))
-                        }));
-                    }
-                })
-                .collect();
-            // A job-step panic is a simulator bug; surface it as a typed
-            // error instead of tearing the caller down with a re-raised
-            // panic.
-            pool.run(tasks)
-                .map_err(|e| FleetSimError::WorkerPanicked(e.to_string()))?;
-            // Index-ordered reassembly: every original index appears in
-            // exactly one segment, so slotting by index reproduces the
-            // sequential `per_job` order bit for bit. That partition is
-            // an invariant of the machine-boundary cuts, and it is
-            // *checked*: a hole is reported as a typed error rather than
-            // assumed away.
-            let mut slots: Vec<Option<JobWindowStat>> = vec![None; len];
-            for buf in &mut self.scratch {
-                for (i, stat) in buf.drain(..) {
-                    slots[i] = Some(stat);
-                }
-            }
-            for (index, slot) in slots.into_iter().enumerate() {
-                match slot {
-                    Some(stat) => stats.per_job.push(stat),
-                    None => return Err(FleetSimError::MissingJobSlot { index }),
-                }
-            }
+            })
+            .collect();
+        // A job-step panic is a simulator bug; surface it as a typed
+        // error instead of tearing the caller down with a re-raised
+        // panic.
+        let mut parts = pool
+            .run(tasks)
+            .map_err(|e| FleetSimError::WorkerPanicked(e.to_string()))?
+            .into_iter();
+        // The first chunk's buffer becomes `per_job`, so a one-chunk
+        // window copies nothing.
+        stats.per_job = parts.next().unwrap_or_default();
+        for part in parts {
+            stats.per_job.extend(part);
         }
         let cost = self.config.cost;
         for s in &stats.per_job {
@@ -1366,8 +1292,8 @@ mod tests {
     /// The hierarchical fidelity cutoff keeps the bit-identity contract:
     /// with page-level kernels running on the machines below the cutoff,
     /// the fleet trajectory still serializes to the same bytes at threads
-    /// 1, 2, and 4 (the machine-boundary shard cuts guarantee a kernel
-    /// and its co-resident jobs never straddle workers).
+    /// 1, 2, and 4 (each page-level job owns its kernel, so no state
+    /// straddles workers).
     #[test]
     fn fidelity_cutoff_is_bit_identical_across_thread_counts() {
         let run = |threads: usize| {
@@ -1433,6 +1359,71 @@ mod tests {
             page_jobs.iter().any(|j| j.cold_pages > 0),
             "page-level kernels observed no cold memory after 15 scans"
         );
+    }
+
+    /// The page-level tier below the cutoff must track the stat
+    /// recurrence it stands in for: two same-seed runs, cutoff 0 vs 2,
+    /// totals over the cutoff clusters' jobs after a 6-window warm-up
+    /// (both tiers start with empty histograms, and tiny absolute numbers
+    /// make relative drift noisy). Observed at seed 42: `total_pages`
+    /// drift 0 (same profile stream in both runs), `cold_pages` 0.0027,
+    /// `far_pages` 0.0193; the bounds are those × ~5–7.
+    #[test]
+    fn cutoff_tier_tracks_the_stat_recurrence() {
+        let page_clusters: Vec<ClusterId> = FleetSimConfig::new(1).spec.clusters[..2]
+            .iter()
+            .map(|c| c.id)
+            .collect();
+        let run = |cutoff: usize| {
+            let mut cfg = FleetSimConfig::new(1);
+            cfg.fidelity_cutoff = cutoff;
+            FleetSim::new(cfg, 42).run_windows(24).unwrap()
+        };
+        let (stat, page) = (run(0), run(2));
+        let drift = |metric: fn(&JobWindowStat) -> u64| {
+            let total = |windows: &[FleetWindowStats]| -> u64 {
+                windows[6..]
+                    .iter()
+                    .flat_map(|w| &w.per_job)
+                    .filter(|j| page_clusters.contains(&j.cluster))
+                    .map(metric)
+                    .sum()
+            };
+            let (a, b) = (total(&stat), total(&page));
+            a.abs_diff(b) as f64 / a.max(b).max(1) as f64
+        };
+        assert_eq!(drift(|j| j.total_pages), 0.0, "total_pages drifted");
+        let cold = drift(|j| j.cold_pages);
+        assert!(cold <= 0.02, "cold_pages drift {cold}");
+        let far = drift(|j| j.far_pages);
+        assert!(far <= 0.10, "far_pages drift {far}");
+    }
+
+    /// A zero-machine fleet still steps: nothing to fan out, all-zero
+    /// stats, and the zero coverage `FleetWindowStats::coverage` promises.
+    #[test]
+    fn empty_fleet_steps_to_all_zero_stats() {
+        let mut cfg = FleetSimConfig::new(0);
+        cfg.threads = 4;
+        let mut sim = FleetSim::new(cfg, 42);
+        assert_eq!(sim.job_count(), 0);
+        let s = sim.step_window().unwrap();
+        assert!(s.per_job.is_empty());
+        let totals = [
+            s.total_pages,
+            s.cold_pages,
+            s.far_pages,
+            s.store_pages,
+            s.store_frames,
+            s.ssd_pages,
+            s.remote_pages,
+            s.prefetch_issued,
+            s.prefetch_used,
+            s.prefetch_wasted,
+            s.prefetch_late,
+        ];
+        assert_eq!(totals, [0; 11]);
+        assert_eq!(s.coverage(), 0.0);
     }
 
     /// With a chain attached, a disabled job's store demotes down the

@@ -12,9 +12,7 @@
 //!   backend: elastic capacity, no transfer cost. Inside a [`Kernel`]
 //!   chain this tier is *positional* — the real pages live in the
 //!   [`ZswapStore`](crate::ZswapStore) as `PageState::Zswapped` and their
-//!   CPU costs are charged through [`CostModel`](crate::CostModel); the
-//!   backend's own counters are exercised directly by the `backends`
-//!   bench.
+//!   CPU costs are charged through [`CostModel`](crate::CostModel).
 //! * [`SsdBackend`] — queue-depth-limited bandwidth, per-op latency,
 //!   **finite capacity** (the §2.1 stranding risk).
 //! * [`RemoteBackend`] — higher latency, unbounded capacity, per-byte
@@ -52,7 +50,7 @@ pub enum BackendKind {
 }
 
 impl BackendKind {
-    /// Short stable name used in reports and bench JSON.
+    /// Short stable name used in reports.
     pub fn name(&self) -> &'static str {
         match self {
             BackendKind::CompressedRam => "compressed_ram",
@@ -187,15 +185,6 @@ impl BackendConfig {
     pub fn occupancy_ns(&self) -> u64 {
         let pipelined_ns = div_ceil_u64(self.fault_ns(), self.queue_depth.max(1) as u64);
         self.transfer_ns().max(pipelined_ns)
-    }
-
-    /// Deterministic fault latency for the op at `queue_position`: the
-    /// first op in a queue burst sees the raw fault latency, later ops
-    /// queue behind one occupancy slot each. Gives the bench a latency
-    /// *distribution* without an RNG.
-    pub fn queued_fault_ns(&self, queue_position: u64) -> u64 {
-        let pos = queue_position % self.queue_depth.max(1) as u64;
-        self.fault_ns() + pos * self.occupancy_ns()
     }
 
     /// Builds the backend this config describes.
@@ -668,20 +657,6 @@ mod tests {
         assert_eq!(cfg.occupancy_ns(), div_ceil_u64(22_048, 8).max(2_048));
         // Infinite-bandwidth tiers transfer for free.
         assert_eq!(BackendConfig::compressed_ram().transfer_ns(), 0);
-    }
-
-    #[test]
-    fn queued_fault_latency_is_a_deterministic_distribution() {
-        let cfg = BackendConfig::ssd(PageCount::new(100));
-        let base = cfg.fault_ns();
-        assert_eq!(cfg.queued_fault_ns(0), base);
-        assert_eq!(cfg.queued_fault_ns(1), base + cfg.occupancy_ns());
-        // Position wraps at the queue depth.
-        assert_eq!(cfg.queued_fault_ns(8), base);
-        // Two identical configs agree everywhere (pure function).
-        for i in 0..64 {
-            assert_eq!(cfg.queued_fault_ns(i), cfg.queued_fault_ns(i));
-        }
     }
 
     #[test]

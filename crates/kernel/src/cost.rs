@@ -95,8 +95,8 @@ impl CostModel {
     /// sample of fleet-mix pages and returns mean per-page costs, plus the
     /// realized ratio/rejection of the same codec.
     ///
-    /// Used by benches so reported overheads reflect the actual
-    /// implementation rather than the paper's hardware. This is the one
+    /// Lets reported overheads reflect the actual implementation rather
+    /// than the paper's hardware. This is the one
     /// wall-clock read in the simulated kernel; `sdfm-lint` grants this
     /// file a policy-level D1 allowance because the measured durations
     /// parameterize the cost model but never feed back into simulated

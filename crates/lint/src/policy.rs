@@ -254,9 +254,6 @@ mod tests {
         // machine telemetry push) additionally carry panic reachability.
         assert!(classify("crates/agent/src/node_agent.rs").enforces(Rule::P2));
         assert!(classify("crates/cluster/src/machine.rs").enforces(Rule::P2));
-        // The bench harness driving the same backends is measurement code,
-        // not simulator state: out of every scope.
-        assert!(classify("crates/bench/benches/backends.rs").test_file);
     }
 
     #[test]
@@ -275,10 +272,9 @@ mod tests {
         // The sharded steppers that consume its sweeps stay scoped too.
         assert!(classify("crates/core/src/fleet_sim.rs").enforces(Rule::D1));
         assert!(classify("crates/cluster/src/cluster.rs").enforces(Rule::P1));
-        // The SoA/AoS equivalence suite and the scale bench are
-        // measurement code, outside simulator-state enforcement.
+        // The SoA/AoS equivalence suite is test code, outside
+        // simulator-state enforcement.
         assert!(classify("crates/kernel/tests/soa_equivalence.rs").test_file);
-        assert!(classify("crates/bench/benches/fleet_scale.rs").test_file);
     }
 
     #[test]
@@ -300,9 +296,6 @@ mod tests {
         assert!(classify("crates/core/src/fleet_sim.rs").enforces(Rule::D1));
         assert!(classify("crates/kernel/src/memcg.rs").enforces(Rule::P1));
         assert!(classify("crates/kernel/src/kreclaimd.rs").enforces(Rule::P1));
-        // The trajectory harness comparing predictor modes is measurement
-        // code, outside simulator-state enforcement.
-        assert!(classify("crates/bench/benches/prefetch.rs").test_file);
     }
 
     #[test]

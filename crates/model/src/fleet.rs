@@ -1,5 +1,5 @@
-//! Fleet-level what-if evaluation, parallelized over jobs and
-//! configurations on a persistent worker pool.
+//! Fleet-level what-if evaluation, parallelized over jobs on a
+//! persistent worker pool.
 
 use std::sync::OnceLock;
 
@@ -141,73 +141,11 @@ impl FarMemoryModel {
         Self::aggregate(&outcomes)
     }
 
-    /// Evaluates many configurations; each runs the full fleet replay.
-    ///
-    /// Work is flattened into `(configuration, trace chunk)` tasks on the
-    /// persistent pool. With at least as many configurations as workers,
-    /// each configuration is a single task — parallelism across
-    /// configurations, exactly the pre-pool behavior. With *fewer*
-    /// configurations than workers (the GP-Bandit steady state: one or
-    /// two candidates per iteration), the leftover workers are put to use
-    /// by statically splitting each configuration's replay into
-    /// `threads / configs.len()` trace chunks instead of idling.
-    ///
-    /// The partitioning is a pure function of `(threads, configs.len(),
-    /// traces.len())` — never of runtime timing — and partial results are
-    /// reassembled in submission-index order, so the output matches
-    /// [`evaluate`](Self::evaluate) and a fully sequential run bit for
-    /// bit.
-    pub fn evaluate_many(&self, configs: &[ModelConfig]) -> Vec<FleetModelResult> {
-        if configs.is_empty() {
-            return Vec::new();
-        }
-        let threads = self.threads.max(1);
-        if threads <= 1 || self.traces.is_empty() {
-            return configs.iter().map(|c| self.evaluate(c)).collect();
-        }
-        // Leftover-core splitter: surplus workers split each config's
-        // replay across contiguous trace chunks (deterministic, static).
-        let splits = (threads / configs.len()).max(1).min(self.traces.len());
-        let chunk = self.traces.len().div_ceil(splits);
-        let trace_chunks: Vec<&[JobTrace]> = self.traces.chunks(chunk).collect();
-        let tasks: Vec<_> = configs
-            .iter()
-            .flat_map(|c| {
-                trace_chunks.iter().map(move |tc| {
-                    let tc = *tc;
-                    move || tc.iter().map(|t| replay_job(t, c)).collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        let partials = self
-            .pool()
-            .run(tasks)
-            .unwrap_or_else(|e| panic!("evaluate_many worker panicked: {e}"));
-        // Reassemble config-major: consecutive `trace_chunks.len()`
-        // partials belong to one configuration, in trace order.
-        let mut partials = partials.into_iter();
-        let mut results = Vec::with_capacity(configs.len());
-        for _ in 0..configs.len() {
-            let mut outcomes: Vec<JobReplayOutcome> = Vec::with_capacity(self.traces.len());
-            for _ in 0..trace_chunks.len() {
-                if let Some(part) = partials.next() {
-                    outcomes.extend(part);
-                }
-            }
-            results.push(Self::aggregate(&outcomes));
-        }
-        results
-    }
-
     fn replay_all(&self, config: &ModelConfig) -> Vec<JobReplayOutcome> {
-        self.replay_all_with(config, self.threads)
-    }
-
-    fn replay_all_with(&self, config: &ModelConfig, threads: usize) -> Vec<JobReplayOutcome> {
         if self.traces.is_empty() {
             return Vec::new();
         }
-        let workers = threads.min(self.traces.len());
+        let workers = self.threads.min(self.traces.len());
         if workers <= 1 {
             return self.traces.iter().map(|t| replay_job(t, config)).collect();
         }
@@ -406,76 +344,6 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    #[test]
-    fn evaluate_many_matches_individual_runs() {
-        let traces: Vec<JobTrace> = (1..=4).map(|j| trace(j, 10, 500, 10)).collect();
-        let m = FarMemoryModel::new(traces).with_threads(2);
-        let configs = [config(50.0, 0), config(98.0, 600)];
-        let batch = m.evaluate_many(&configs);
-        assert_eq!(batch[0], m.evaluate(&configs[0]));
-        assert_eq!(batch[1], m.evaluate(&configs[1]));
-    }
-
-    /// The leftover-core splitter: fewer configs than workers forces the
-    /// nested trace-chunk partitioning, whose results must equal plain
-    /// per-config sequential evaluation — down to the f64 bit pattern.
-    #[test]
-    fn evaluate_many_with_nested_splitter_matches_sequential() {
-        let traces: Vec<JobTrace> = (1..=7).map(|j| trace(j, 12, 1_200, 30)).collect();
-        // 2 configs on 8 workers: splits = 4 trace chunks per config.
-        let par = FarMemoryModel::new(traces.clone()).with_threads(8);
-        let seq = FarMemoryModel::new(traces).with_threads(1);
-        let configs = [config(97.0, 0), config(90.0, 900)];
-        let batch = par.evaluate_many(&configs);
-        for (i, c) in configs.iter().enumerate() {
-            let reference = seq.evaluate(c);
-            assert_eq!(
-                batch[i].avg_cold_pages.to_bits(),
-                reference.avg_cold_pages.to_bits(),
-                "config {i} cold pages diverged under the splitter"
-            );
-            assert_eq!(
-                batch[i].mean_coverage.to_bits(),
-                reference.mean_coverage.to_bits()
-            );
-            assert_eq!(
-                batch[i]
-                    .p98_normalized_rate
-                    .map(|r| r.fraction_per_min().to_bits()),
-                reference
-                    .p98_normalized_rate
-                    .map(|r| r.fraction_per_min().to_bits())
-            );
-            assert_eq!(
-                (batch[i].jobs, batch[i].windows),
-                (reference.jobs, reference.windows)
-            );
-        }
-    }
-
-    /// Two independent pool-routed runs with the splitter active must
-    /// serialize the same decision stream: the nested partitioning is
-    /// static, so nothing timing-dependent can reach the results.
-    #[test]
-    fn evaluate_many_two_runs_bit_identical_through_the_pool() {
-        let run = || {
-            let traces: Vec<JobTrace> = (1..=5).map(|j| trace(j, 10, 900, 25)).collect();
-            let m = FarMemoryModel::new(traces).with_threads(6);
-            // 1 config on 6 workers: maximum splitter pressure.
-            m.evaluate_many(&[config(95.0, 300)])
-        };
-        let (a, b) = (run(), run());
-        assert_eq!(a.len(), b.len());
-        assert_eq!(a[0].avg_cold_pages.to_bits(), b[0].avg_cold_pages.to_bits());
-        assert_eq!(a[0].mean_coverage.to_bits(), b[0].mean_coverage.to_bits());
-        assert_eq!(
-            a[0].p98_normalized_rate
-                .map(|r| r.fraction_per_min().to_bits()),
-            b[0].p98_normalized_rate
-                .map(|r| r.fraction_per_min().to_bits())
-        );
-    }
-
     /// The fast model sized off *measured* ratios: a cost model measured
     /// against the real codecs over the fleet page mix drives the store's
     /// frame footprint, and the realized fleet-level ratio lands in the
@@ -512,14 +380,5 @@ mod tests {
             r.avg_store_frames.to_bits(),
             again.avg_store_frames.to_bits()
         );
-    }
-
-    /// A panic inside a replay task must surface as a clean panic from
-    /// `evaluate_many` (via the pool's captured error), not a hang.
-    #[test]
-    fn empty_configs_short_circuit() {
-        let traces: Vec<JobTrace> = (1..=2).map(|j| trace(j, 4, 100, 1)).collect();
-        let m = FarMemoryModel::new(traces).with_threads(4);
-        assert!(m.evaluate_many(&[]).is_empty());
     }
 }

@@ -8,10 +8,10 @@
 //! from the histograms, one trace supports what-if analysis of any `(K, S)`
 //! configuration.
 //!
-//! The pipeline is embarrassingly parallel (jobs replay independently;
-//! configurations evaluate independently); the paper models a week of the
-//! whole WSC in under an hour on MapReduce. [`FarMemoryModel`] parallelizes
-//! with scoped threads.
+//! The pipeline is embarrassingly parallel (jobs replay independently);
+//! the paper models a week of the whole WSC in under an hour on
+//! MapReduce. [`FarMemoryModel`] parallelizes over jobs on a persistent
+//! worker pool.
 //!
 //! # Examples
 //!
