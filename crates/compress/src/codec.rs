@@ -22,7 +22,7 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::lz::{Match, MatchFinder};
+use crate::lz::{Match, MatchFinder, MIN_MATCH};
 
 /// Identifies a codec implementation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -122,6 +122,9 @@ pub trait PageCodec: fmt::Debug + Send + Sync {
     }
 }
 
+/// Appends `len` bytes starting `offset` back from the end of `dst`. The
+/// two may overlap (`offset < len`): the output is then periodic in
+/// `offset`.
 #[inline]
 fn copy_match(dst: &mut Vec<u8>, offset: usize, len: usize) -> Result<(), DecompressError> {
     let produced = dst.len();
@@ -131,11 +134,18 @@ fn copy_match(dst: &mut Vec<u8>, offset: usize, len: usize) -> Result<(), Decomp
     let start = produced - offset;
     if offset >= len {
         dst.extend_from_within(start..start + len);
+    } else if offset == 1 {
+        // A run of one byte: nearly every overlapping copy pages produce.
+        let byte = dst[start];
+        dst.resize(produced + len, byte);
     } else {
-        // Overlapping copy (e.g. RLE through offset 1): byte at a time.
-        for i in 0..len {
-            let b = dst[start + i];
-            dst.push(b);
+        // Everything appended so far repeats the period, so it is valid
+        // source for the next chunk: the copied span doubles each round.
+        let mut remaining = len;
+        while remaining > 0 {
+            let n = (dst.len() - start).min(remaining);
+            dst.extend_from_within(start..start + n);
+            remaining -= n;
         }
     }
     Ok(())
@@ -154,6 +164,8 @@ pub struct Lz4Codec {
 }
 
 const LZ4_MIN_MATCH: usize = 4;
+// The token stores `len - LZ4_MIN_MATCH`; the finder never reports less.
+const _: () = assert!(MIN_MATCH >= LZ4_MIN_MATCH);
 const LZ4_MFLIMIT: usize = 12; // matches must not start in the last 12 bytes
 const LZ4_LAST_LITERALS: usize = 5;
 
@@ -198,36 +210,12 @@ impl PageCodec for Lz4Codec {
 
     fn compress(&self, src: &[u8], dst: &mut Vec<u8>) {
         dst.clear();
-        if src.is_empty() {
-            // An empty block is a single token with zero literals.
-            dst.push(0);
-            return;
-        }
-        if src.len() < LZ4_MFLIMIT {
-            Self::emit_sequence(dst, src, None);
-            return;
-        }
-        let mut finder = MatchFinder::new(12);
-        let match_limit = src.len() - LZ4_LAST_LITERALS;
-        let search_end = src.len() - LZ4_MFLIMIT;
+        // Blocks under `LZ4_MFLIMIT` bytes (the empty one included) have no
+        // searchable position and come out as the final sequence alone.
         let mut anchor = 0usize;
-        let mut pos = 0usize;
-        while pos <= search_end {
-            match finder.find_and_insert(src, pos, LZ4_MIN_MATCH, u16::MAX as usize, match_limit) {
-                Some(m) if m.len >= LZ4_MIN_MATCH => {
-                    Self::emit_sequence(dst, &src[anchor..pos], Some(m));
-                    // Keep the table warm across the match body.
-                    let next = pos + m.len;
-                    let mut p = pos + 1;
-                    while p < next && p <= search_end {
-                        finder.insert(src, p);
-                        p += 1;
-                    }
-                    pos = next;
-                    anchor = pos;
-                }
-                _ => pos += 1,
-            }
+        for m in MatchFinder::new(src, u16::MAX as usize, LZ4_MFLIMIT, LZ4_LAST_LITERALS) {
+            Self::emit_sequence(dst, &src[anchor..m.pos], Some(m));
+            anchor = m.pos + m.len;
         }
         Self::emit_sequence(dst, &src[anchor..], None);
     }
@@ -372,34 +360,13 @@ impl PageCodec for SnappyCodec {
     fn compress(&self, src: &[u8], dst: &mut Vec<u8>) {
         dst.clear();
         Self::put_varint(dst, src.len());
-        if src.is_empty() {
-            return;
-        }
-        let mut finder = MatchFinder::new(12);
         let mut anchor = 0usize;
-        let mut pos = 0usize;
-        while pos + 4 <= src.len() {
-            match finder.find_and_insert(src, pos, 4, u16::MAX as usize, src.len()) {
-                Some(m) => {
-                    if pos > anchor {
-                        Self::emit_literal(dst, &src[anchor..pos]);
-                    }
-                    Self::emit_copy(dst, m.offset, m.len);
-                    let next = pos + m.len;
-                    let mut p = pos + 1;
-                    while p + 4 <= src.len() && p < next {
-                        finder.insert(src, p);
-                        p += 1;
-                    }
-                    pos = next;
-                    anchor = pos;
-                }
-                None => pos += 1,
-            }
+        for m in MatchFinder::new(src, u16::MAX as usize, MIN_MATCH, 0) {
+            Self::emit_literal(dst, &src[anchor..m.pos]);
+            Self::emit_copy(dst, m.offset, m.len);
+            anchor = m.pos + m.len;
         }
-        if anchor < src.len() {
-            Self::emit_literal(dst, &src[anchor..]);
-        }
+        Self::emit_literal(dst, &src[anchor..]);
     }
 
     fn decompress(&self, src: &[u8], dst: &mut Vec<u8>) -> Result<(), DecompressError> {
@@ -494,41 +461,17 @@ impl PageCodec for SnappyCodec {
 ///
 /// Like LZO1X it favours the decoder: one branch on the control byte, no
 /// bit-level unpacking, byte-aligned everything.
-///
-/// The encoder's match-finder chain depth is configurable
-/// ([`LzoCodec::with_depth`]): depth 1 (the default, and what
-/// [`CodecKind::build`] ships) is the paper's cheapest-possible regime;
-/// deeper chains trade cycles for ratio. The stream format is identical at every
-/// depth — only the matches the encoder finds change.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct LzoCodec {
-    depth: usize,
-}
-
-impl Default for LzoCodec {
-    fn default() -> Self {
-        LzoCodec { depth: 1 }
-    }
+    _private: (),
 }
 
 const LZO_MAX_OFFSET: usize = 8192;
 
 impl LzoCodec {
-    /// Creates an LZO-class codec with the production single-probe finder.
+    /// Creates an LZO-class codec.
     pub fn new() -> Self {
         LzoCodec::default()
-    }
-
-    /// Creates a codec whose match finder probes up to `depth` chained
-    /// candidates per position (1..=64; 1 = [`LzoCodec::new`]).
-    pub fn with_depth(depth: usize) -> Self {
-        assert!((1..=64).contains(&depth), "chain depth must be in [1, 64]");
-        LzoCodec { depth }
-    }
-
-    /// The configured chain depth.
-    pub fn depth(&self) -> usize {
-        self.depth
     }
 
     fn emit_literals(dst: &mut Vec<u8>, lit: &[u8]) {
@@ -566,34 +509,13 @@ impl PageCodec for LzoCodec {
 
     fn compress(&self, src: &[u8], dst: &mut Vec<u8>) {
         dst.clear();
-        if src.is_empty() {
-            return;
-        }
-        let mut finder = MatchFinder::with_chain(12, self.depth);
         let mut anchor = 0usize;
-        let mut pos = 0usize;
-        while pos + 4 <= src.len() {
-            match finder.find_and_insert(src, pos, 4, LZO_MAX_OFFSET, src.len()) {
-                Some(m) => {
-                    if pos > anchor {
-                        Self::emit_literals(dst, &src[anchor..pos]);
-                    }
-                    Self::emit_match(dst, m.offset, m.len);
-                    let next = pos + m.len;
-                    let mut p = pos + 1;
-                    while p + 4 <= src.len() && p < next {
-                        finder.insert(src, p);
-                        p += 1;
-                    }
-                    pos = next;
-                    anchor = pos;
-                }
-                None => pos += 1,
-            }
+        for m in MatchFinder::new(src, LZO_MAX_OFFSET, MIN_MATCH, 0) {
+            Self::emit_literals(dst, &src[anchor..m.pos]);
+            Self::emit_match(dst, m.offset, m.len);
+            anchor = m.pos + m.len;
         }
-        if anchor < src.len() {
-            Self::emit_literals(dst, &src[anchor..]);
-        }
+        Self::emit_literals(dst, &src[anchor..]);
     }
 
     fn decompress(&self, src: &[u8], dst: &mut Vec<u8>) -> Result<(), DecompressError> {
@@ -655,42 +577,32 @@ mod tests {
         compressed.len()
     }
 
+    /// Every copy path (disjoint, run of one byte, doubling period) against
+    /// the definition: each output byte is the one `offset` behind it.
     #[test]
-    fn lzo_chain_depths_roundtrip_and_do_not_hurt_ratio() {
-        use crate::gen::{CompressibilityMix, PageGenerator};
-        let mix = CompressibilityMix::fleet_default();
-        let mut gen = PageGenerator::new(0xC4A1);
-        let pages: Vec<Vec<u8>> = (0..24).map(|_| gen.generate_from_mix(&mix).1).collect();
-        let total = |depth: usize| -> usize {
-            let codec = LzoCodec::with_depth(depth);
-            let mut buf = Vec::new();
-            let mut out = Vec::new();
-            pages
-                .iter()
-                .map(|p| {
-                    codec.compress(p, &mut buf);
-                    codec.decompress(&buf, &mut out).expect("self-produced");
-                    assert_eq!(&out, p, "depth {depth} roundtrip mismatch");
-                    buf.len()
-                })
-                .sum()
-        };
-        let d1 = total(1);
-        let d4 = total(4);
-        let d8 = total(8);
-        // Greedy parses can shift locally, but over a fleet-mix batch a
-        // deeper chain must not *lose* ratio.
-        assert!(d4 <= d1, "depth 4 ({d4}) worse than depth 1 ({d1})");
-        assert!(d8 <= d4 + d4 / 50, "depth 8 ({d8}) regressed vs 4 ({d4})");
-        // Depth 1 via with_depth is bit-identical to the default encoder.
-        let (a, b) = (LzoCodec::new(), LzoCodec::with_depth(1));
-        for p in &pages {
-            let (mut ba, mut bb) = (Vec::new(), Vec::new());
-            a.compress(p, &mut ba);
-            b.compress(p, &mut bb);
-            assert_eq!(ba, bb);
+    fn copy_match_equals_byte_at_a_time_reference() {
+        let seed: Vec<u8> = (0..16u8).map(|i| i.wrapping_mul(29) ^ 0xA5).collect();
+        for offset in 1..=16usize {
+            for len in 1..=600usize {
+                let mut expected = seed.clone();
+                for _ in 0..len {
+                    expected.push(expected[expected.len() - offset]);
+                }
+                let mut dst = seed.clone();
+                copy_match(&mut dst, offset, len).expect("offset is within the seed");
+                assert_eq!(dst, expected, "offset {offset}, len {len}");
+            }
         }
-        assert_eq!(LzoCodec::with_depth(8).depth(), 8);
+        let mut dst = seed.clone();
+        for offset in [0, 17] {
+            assert_eq!(
+                copy_match(&mut dst, offset, 4),
+                Err(DecompressError::InvalidOffset {
+                    offset,
+                    produced: 16
+                })
+            );
+        }
     }
 
     #[test]

@@ -1,303 +1,343 @@
 //! Shared LZ77 match-finding machinery used by all three codecs.
 //!
-//! The codecs differ only in their token encodings; they share the same
-//! greedy match finder: a hash table over 4-byte sequences, sized for
-//! page-scale inputs (4 KiB). By default one probe per position — the
-//! "spend as few cycles as possible" regime the paper's production
-//! deployment chose (lzo over stronger codecs, §5.1 footnote). A bounded
-//! hash *chain* ([`MatchFinder::with_chain`]) trades more probes for a
-//! better ratio.
+//! The codecs differ only in their token encodings; they share one greedy
+//! parse: a 4096-slot hash table over 4-byte sequences, one probe per
+//! position, every byte of an emitted match re-inserted — the "spend as
+//! few cycles as possible" regime the paper's production deployment chose
+//! (lzo over stronger codecs, §5.1 footnote). [`MatchFinder`] is that
+//! parse as an iterator of [`Match`]es; a codec turns the gaps between
+//! them into literals and each of them into its own copy token.
+
+/// Shortest match the finder reports: the width of the hashed sequence.
+pub const MIN_MATCH: usize = 4;
+
+const HASH_BITS: u32 = 12;
 
 /// A back-reference found by the match finder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Match {
-    /// Distance back from the current position (1-based).
+    /// Where in the input the match starts.
+    pub pos: usize,
+    /// Distance back from `pos` (1-based).
     pub offset: usize,
-    /// Length of the match in bytes.
+    /// Length of the match in bytes (at least [`MIN_MATCH`]).
     pub len: usize,
 }
 
-/// Multiplicative hash over the 4 bytes at `src[pos..pos+4]`.
+/// The little-endian word at `src[pos..pos + 4]`.
 #[inline]
-pub fn hash4(src: &[u8], pos: usize, bits: u32) -> usize {
-    let v = u32::from_le_bytes([src[pos], src[pos + 1], src[pos + 2], src[pos + 3]]);
-    (v.wrapping_mul(2654435761) >> (32 - bits)) as usize
+fn word_at(src: &[u8], pos: usize) -> u32 {
+    let bytes: [u8; 4] = src[pos..pos + 4].try_into().expect("a 4-byte slice");
+    u32::from_le_bytes(bytes)
 }
 
-/// Length of the common prefix of `src[a..]` and `src[b..]`, scanning at
-/// most up to `limit` (exclusive end index for the `b` cursor).
+/// Multiplicative hash of a 4-byte sequence into a table slot.
 #[inline]
-pub fn match_length(src: &[u8], mut a: usize, mut b: usize, limit: usize) -> usize {
-    let start = b;
-    while b < limit && src[a] == src[b] {
-        a += 1;
-        b += 1;
+fn hash(word: u32) -> usize {
+    (word.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
+}
+
+/// Length of the common prefix of `a` and `b`, eight bytes at a time.
+#[inline]
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let mut n = 0;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let x = u64::from_le_bytes(x.try_into().expect("an 8-byte chunk"));
+        let y = u64::from_le_bytes(y.try_into().expect("an 8-byte chunk"));
+        if x != y {
+            return n + ((x ^ y).trailing_zeros() / 8) as usize;
+        }
+        n += 8;
     }
-    b - start
+    n + a[n..]
+        .iter()
+        .zip(&b[n..])
+        .take_while(|(x, y)| x == y)
+        .count()
 }
 
-/// A hash-table match finder for one input block, with an optional
-/// bounded hash chain.
+/// The greedy single-probe parse of one input block, as an iterator over
+/// its matches in input order.
 ///
-/// Positions are stored +1 so that 0 means "empty slot"; the table is
-/// reset per block. At `depth == 1` (the [`MatchFinder::new`] default)
-/// the finder probes only the most recent occupant of the hash slot —
-/// exactly the single-probe behavior the production codecs ship. At
-/// `depth > 1` each position is also linked into a per-position `prev`
-/// chain, and the finder walks up to `depth` prior occurrences of the
-/// hash, keeping the longest match (ties go to the most recent, i.e.
-/// smallest, offset — deterministic for a given input).
-#[derive(Debug)]
-pub struct MatchFinder {
-    /// `hash -> pos + 1` of the most recent occurrence.
-    head: Vec<u32>,
-    /// `pos -> pos + 1` of the previous occurrence with the same hash.
-    /// Empty (never allocated) at depth 1; grown on demand otherwise.
-    prev: Vec<u32>,
-    depth: usize,
-    bits: u32,
+/// The table maps `hash -> position` of the most recent occurrence and
+/// starts zeroed. No "empty" marker is needed: a candidate only counts if
+/// its four bytes equal the four at the cursor, so a zero read from a
+/// never-written slot is taken for position 0 only when the cursor hashes
+/// to position 0's own slot — which position 0, inserted first, did write.
+pub struct MatchFinder<'a> {
+    src: &'a [u8],
+    table: [u32; 1 << HASH_BITS],
+    pos: usize,
+    /// Positions at or past this are neither searched nor inserted.
+    search_end: usize,
+    /// Exclusive end index matches may extend to.
+    match_limit: usize,
+    max_offset: usize,
 }
 
-impl MatchFinder {
-    /// Creates a single-probe finder with a `2^bits`-entry table. 12 bits
-    /// (4096 slots) is a good fit for 4 KiB pages.
-    pub fn new(bits: u32) -> Self {
-        Self::with_chain(bits, 1)
-    }
-
-    /// Creates a finder probing up to `depth` chained candidates per
-    /// position. `depth == 1` is identical to [`MatchFinder::new`].
-    pub fn with_chain(bits: u32, depth: usize) -> Self {
-        assert!((8..=16).contains(&bits), "hash bits must be in [8, 16]");
-        assert!((1..=64).contains(&depth), "chain depth must be in [1, 64]");
+impl<'a> MatchFinder<'a> {
+    /// Parses `src` with offsets up to `max_offset`. A match may start only
+    /// where at least `start_margin` bytes remain, and none extends into
+    /// the final `end_literals` bytes (LZ4's end-of-block rules; the other
+    /// two formats pass `(MIN_MATCH, 0)`).
+    pub fn new(src: &'a [u8], max_offset: usize, start_margin: usize, end_literals: usize) -> Self {
+        assert!(
+            end_literals + MIN_MATCH <= start_margin,
+            "a minimal match at the last searched position must fit"
+        );
         MatchFinder {
-            head: vec![0; 1 << bits],
-            prev: Vec::new(),
-            depth,
-            bits,
+            src,
+            table: [0; 1 << HASH_BITS],
+            pos: 0,
+            search_end: (src.len() + 1).saturating_sub(start_margin),
+            match_limit: src.len().saturating_sub(end_literals),
+            max_offset,
         }
     }
+}
 
-    /// Clears the table for a new block (codecs that reuse one finder
-    /// across blocks call this between inputs).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn reset(&mut self) {
-        self.head.fill(0);
-        self.prev.fill(0);
-    }
-
-    /// Links `pos` into the table (and, at depth > 1, the chain),
-    /// returning the previous head of its hash slot.
-    #[inline]
-    fn link(&mut self, src: &[u8], pos: usize) -> u32 {
-        let h = hash4(src, pos, self.bits);
-        let head = self.head[h];
-        self.head[h] = (pos + 1) as u32;
-        if self.depth > 1 {
-            if self.prev.len() <= pos {
-                // Grow in block-sized steps so page inputs allocate once.
-                self.prev.resize((pos + 1).next_power_of_two().max(4096), 0);
-            }
-            self.prev[pos] = head;
-        }
-        head
-    }
-
-    /// Inserts `pos` into the table and returns the best match at `pos`
-    /// among up to `depth` chained previous occurrences, if it is at
-    /// least `min_match` long and within `max_offset`.
+impl MatchFinder<'_> {
+    /// Inserts every position from the cursor on until one's probe hits:
+    /// the slot's previous occupant is within `max_offset` and starts with
+    /// the same four bytes. Returns that position and the occupant.
     ///
-    /// `match_limit` is the exclusive end index matches may extend to
-    /// (callers use it to reserve end-of-block literals).
-    #[inline]
-    pub fn find_and_insert(
-        &mut self,
-        src: &[u8],
-        pos: usize,
-        min_match: usize,
-        max_offset: usize,
-        match_limit: usize,
-    ) -> Option<Match> {
-        if pos + 4 > src.len() {
+    /// Kept out of line: on its own the loop keeps its few live values in
+    /// registers; inlined into a codec's emitter it spills them at every
+    /// position (measured: 1.5 against 1.1 ns per position).
+    #[inline(never)]
+    fn probe(&mut self) -> Option<(usize, usize)> {
+        let src = self.src;
+        let start = self.pos;
+        if start >= self.search_end {
             return None;
         }
-        let mut candidate = self.link(src, pos);
-        let limit = match_limit.min(src.len());
-        let mut best: Option<Match> = None;
-        for _ in 0..self.depth {
-            if candidate == 0 {
-                break;
-            }
-            let cand = (candidate - 1) as usize;
+        // One 4-byte window per position still to search.
+        let words = src[start..self.search_end + MIN_MATCH - 1].windows(MIN_MATCH);
+        for (pos, w) in (start..).zip(words) {
+            let word = word_at(w, 0);
+            let slot = &mut self.table[hash(word)];
+            let cand = *slot as usize;
+            *slot = pos as u32;
+            // `cand <= pos`; offset 0 (position 0 probing itself) wraps
+            // past every `max_offset`.
             let offset = pos - cand;
-            if offset == 0 || offset > max_offset {
-                // Chain entries only get older (farther); stop.
-                break;
+            if offset.wrapping_sub(1) < self.max_offset && word_at(src, cand) == word {
+                return Some((pos, cand));
             }
-            let len = match_length(src, cand, pos, limit);
-            if len >= min_match && best.is_none_or(|b| len > b.len) {
-                best = Some(Match { offset, len });
-            }
-            candidate = if self.depth > 1 && cand < self.prev.len() {
-                self.prev[cand]
-            } else {
-                0
-            };
         }
-        best
+        self.pos = self.search_end;
+        None
     }
+}
 
-    /// Inserts a position without searching (used to keep the table warm
-    /// while skipping over an emitted match).
-    #[inline]
-    pub fn insert(&mut self, src: &[u8], pos: usize) {
-        if pos + 4 <= src.len() {
-            self.link(src, pos);
+impl Iterator for MatchFinder<'_> {
+    type Item = Match;
+
+    // Forced: left to the heuristic each match pays two calls, not one.
+    #[inline(always)]
+    fn next(&mut self) -> Option<Match> {
+        let (pos, cand) = self.probe()?;
+        let src = self.src;
+        let len = MIN_MATCH
+            + common_prefix(
+                &src[cand + MIN_MATCH..],
+                &src[pos + MIN_MATCH..self.match_limit],
+            );
+        // Keep the table warm across the match body.
+        let next = pos + len;
+        let body = pos + 1..next.min(self.search_end);
+        let words = src[body.start..body.end + MIN_MATCH - 1].windows(MIN_MATCH);
+        for (p, w) in body.zip(words) {
+            self.table[hash(word_at(w, 0))] = p as u32;
         }
+        self.pos = next;
+        Some(Match {
+            pos,
+            offset: pos - cand,
+            len,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gen::{PageClass, PageGenerator};
+    use proptest::prelude::*;
 
-    #[test]
-    fn match_length_counts_common_prefix() {
-        let src = b"abcabcabx";
-        assert_eq!(match_length(src, 0, 3, src.len()), 5); // "abcab"
-        assert_eq!(match_length(src, 0, 6, src.len()), 2); // "ab"
+    /// `(max_offset, start_margin, end_literals)`.
+    type Settings = (usize, usize, usize);
+
+    /// What the codecs pass: lzo, snappy, lz4.
+    const SETTINGS: [Settings; 3] = [(8192, 4, 0), (65535, 4, 0), (65535, 12, 5)];
+
+    /// The same parse, one byte at a time with an explicit empty marker:
+    /// what [`MatchFinder`] must reproduce match for match.
+    fn reference_parse(src: &[u8], (max_offset, margin, end_literals): Settings) -> Vec<Match> {
+        let slot = |p: usize| hash(word_at(src, p));
+        let limit = src.len().saturating_sub(end_literals);
+        let mut head = vec![usize::MAX; 1 << HASH_BITS];
+        let (mut out, mut pos) = (Vec::new(), 0);
+        while pos + margin <= src.len() {
+            let cand = std::mem::replace(&mut head[slot(pos)], pos);
+            let mut len = 0;
+            if cand != usize::MAX && pos - cand <= max_offset {
+                while pos + len < limit && src[cand + len] == src[pos + len] {
+                    len += 1;
+                }
+            }
+            if len < MIN_MATCH {
+                pos += 1;
+                continue;
+            }
+            let offset = pos - cand;
+            out.push(Match { pos, offset, len });
+            for p in (pos + 1..pos + len).take_while(|p| p + margin <= src.len()) {
+                head[slot(p)] = p;
+            }
+            pos += len;
+        }
+        out
+    }
+
+    fn parse(src: &[u8], (max_offset, margin, end_literals): Settings) -> Vec<Match> {
+        MatchFinder::new(src, max_offset, margin, end_literals).collect()
+    }
+
+    #[track_caller]
+    fn assert_matches_reference(src: &[u8]) {
+        for s in SETTINGS {
+            assert_eq!(parse(src, s), reference_parse(src, s), "settings {s:?}");
+        }
     }
 
     #[test]
-    fn match_length_respects_limit() {
-        let src = b"aaaaaaaa";
-        assert_eq!(match_length(src, 0, 1, 4), 3);
+    fn common_prefix_counts_across_word_and_tail() {
+        let a: Vec<u8> = (0..40u8).collect();
+        for n in 0..=a.len() {
+            let mut b = a.clone();
+            if n < b.len() {
+                b[n] ^= 0x80;
+            }
+            assert_eq!(common_prefix(&a, &b), n);
+            // The shorter side bounds the count.
+            assert_eq!(common_prefix(&a, &a[..n]), n);
+        }
     }
 
     #[test]
     fn finder_detects_repeat() {
         let src = b"0123456789_0123456789";
-        let mut f = MatchFinder::new(12);
-        let mut found = None;
-        for pos in 0..src.len().saturating_sub(4) {
-            if let Some(m) = f.find_and_insert(src, pos, 4, 65535, src.len()) {
-                found = Some((pos, m));
-                break;
-            }
-        }
-        let (pos, m) = found.expect("repeat must be found");
-        assert_eq!(pos, 11);
-        assert_eq!(m.offset, 11);
-        assert_eq!(m.len, 10);
-    }
-
-    #[test]
-    fn finder_ignores_too_distant_matches() {
-        let mut src = vec![0u8; 1000];
-        src[0..8].copy_from_slice(b"ABCDEFGH");
-        // unique filler so no accidental matches
-        for (i, b) in src[8..992].iter_mut().enumerate() {
-            *b = (i % 251) as u8 ^ ((i / 251) as u8).wrapping_mul(31) | 0x80;
-        }
-        src[992..1000].copy_from_slice(b"ABCDEFGH");
-        let mut f = MatchFinder::new(12);
-        for pos in 0..src.len() - 4 {
-            if let Some(m) = f.find_and_insert(&src, pos, 4, 100, src.len()) {
-                assert!(m.offset <= 100, "offset {} exceeds cap", m.offset);
-            }
-        }
-    }
-
-    #[test]
-    fn finder_resets_cleanly() {
-        let src = b"xyzwxyzw";
-        let mut f = MatchFinder::new(12);
-        for pos in 0..src.len() - 4 {
-            f.find_and_insert(src, pos, 4, 64, src.len());
-        }
-        f.reset();
-        // After reset, the first probe finds nothing again.
-        assert_eq!(f.find_and_insert(src, 0, 4, 64, src.len()), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "hash bits")]
-    fn finder_rejects_tiny_tables() {
-        let _ = MatchFinder::new(4);
-    }
-
-    #[test]
-    #[should_panic(expected = "chain depth")]
-    fn finder_rejects_zero_depth() {
-        let _ = MatchFinder::with_chain(12, 0);
-    }
-
-    /// Force a hash collision chain: the same 4-byte prefix occurs three
-    /// times, with the best (longest) match *not* the most recent one. A
-    /// single probe only sees the most recent; the chain must find the
-    /// older, longer candidate.
-    #[test]
-    fn chain_finds_longer_older_match() {
-        let mut src = Vec::new();
-        src.extend_from_slice(b"ABCDEFGH"); // pos 0: full 8-byte run
-        src.extend_from_slice(b"....");
-        src.extend_from_slice(b"ABCDxxxx"); // pos 12: only 4 bytes match
-        src.extend_from_slice(b"....");
-        src.extend_from_slice(b"ABCDEFGH"); // pos 24: query
-        let probe = |depth: usize| -> Option<Match> {
-            let mut f = MatchFinder::with_chain(12, depth);
-            for pos in [0usize, 12] {
-                f.insert(&src, pos);
-            }
-            f.find_and_insert(&src, 24, 4, 65535, src.len())
+        let expected = Match {
+            pos: 11,
+            offset: 11,
+            len: 10,
         };
-        let single = probe(1).expect("single probe still matches");
-        assert_eq!((single.offset, single.len), (12, 4), "most recent only");
-        let chained = probe(2).expect("chain matches");
-        assert_eq!((chained.offset, chained.len), (24, 8), "older but longer");
+        assert_eq!(parse(src, (65535, 4, 0)), [expected]);
+        // LZ4's rules: the last five bytes stay literal.
+        assert_eq!(parse(src, (65535, 12, 5)), []);
+        let longer = b"0123456789_0123456789_tail";
+        assert_eq!(parse(longer, (65535, 12, 5)), [expected]);
     }
 
-    /// Depth 1 must behave exactly like the historical single-probe
-    /// finder: same matches, in the same positions, on a page-shaped
-    /// input with heavy repetition.
     #[test]
-    fn depth_one_equals_single_probe_semantics() {
-        let src: Vec<u8> = (0..2048u32)
-            .flat_map(|i| ((i % 97) as u16).to_le_bytes())
-            .collect();
-        let mut a = MatchFinder::new(12);
-        let mut b = MatchFinder::with_chain(12, 1);
-        for pos in 0..src.len().saturating_sub(4) {
-            assert_eq!(
-                a.find_and_insert(&src, pos, 4, 8192, src.len()),
-                b.find_and_insert(&src, pos, 4, 8192, src.len()),
-                "diverged at {pos}"
-            );
+    fn finder_takes_offsets_up_to_the_cap_and_no_further() {
+        // Two copies of an 8-byte motif `distance` apart, distinct bytes between.
+        let two_copies = |distance: usize| -> Vec<u8> {
+            let mut src: Vec<u8> = (0..distance).map(|i| 0x80 | i as u8).collect();
+            src[..8].copy_from_slice(b"ABCDEFGH");
+            src.extend_from_slice(b"ABCDEFGH");
+            src
+        };
+        let (pos, offset, len) = (100, 100, 8);
+        assert_eq!(
+            parse(&two_copies(100), (100, 4, 0)),
+            [Match { pos, offset, len }]
+        );
+        assert_eq!(parse(&two_copies(101), (100, 4, 0)), []);
+        assert_eq!(parse(&two_copies(101), (101, 4, 0)).len(), 1);
+    }
+
+    /// A zeroed slot reads as "position 0". That must match exactly when
+    /// the old explicit-empty table did: a repeat of the input's first four
+    /// bytes is found at offset `pos`, position 0 never matches itself, and
+    /// a first occurrence elsewhere (whose slot was never written) does not.
+    #[test]
+    fn zeroed_slots_stand_in_for_position_zero_only() {
+        assert_eq!(
+            parse(b"ABCDxyzwABCD", (8192, 4, 0)),
+            [Match {
+                pos: 8,
+                offset: 8,
+                len: 4
+            }]
+        );
+        assert_eq!(parse(b"ABCDEFGHIJKLMNOP", (8192, 4, 0)), []);
+        assert_eq!(
+            parse(&[0u8; 64], (8192, 4, 0)),
+            [Match {
+                pos: 1,
+                offset: 1,
+                len: 63
+            }]
+        );
+        for src in [&b"ABCDxyzwABCD"[..], b"ABCDEFGHIJKLMNOP", &[0u8; 64]] {
+            assert_matches_reference(src);
         }
     }
 
-    /// Deeper chains never produce a worse (shorter) match than shallower
-    /// ones at the same position — the probe set only grows.
     #[test]
-    fn deeper_chains_never_find_shorter_matches() {
-        let src: Vec<u8> = (0..4096u32)
-            .map(|i| ((i * 7) % 53) as u8 ^ ((i / 64) as u8))
-            .collect();
-        let run = |depth: usize| -> Vec<usize> {
-            let mut f = MatchFinder::with_chain(12, depth);
-            (0..src.len() - 4)
-                .map(|pos| {
-                    f.find_and_insert(&src, pos, 4, 8192, src.len())
-                        .map_or(0, |m| m.len)
-                })
-                .collect()
-        };
-        let (d1, d4) = (run(1), run(4));
-        // Greedy parses differ position-by-position once emissions shift,
-        // but the raw per-position best length is monotone in depth when
-        // every position is probed (as here).
-        for (i, (a, b)) in d1.iter().zip(&d4).enumerate() {
-            assert!(b >= a, "depth 4 found shorter match at {i}: {b} < {a}");
+    fn inputs_without_a_searchable_position_yield_nothing() {
+        for len in 0..12usize {
+            let src = vec![7u8; len];
+            assert_eq!(parse(&src, (65535, 12, 5)), []);
+            assert_matches_reference(&src);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "minimal match")]
+    fn finder_rejects_margins_a_match_cannot_fit() {
+        let _ = MatchFinder::new(b"", 8192, 4, 1);
+    }
+
+    fn class_page() -> impl Strategy<Value = Vec<u8>> {
+        (any::<u64>(), 0..PageClass::ALL.len())
+            .prop_map(|(seed, class)| PageGenerator::new(seed).generate(PageClass::ALL[class]))
+    }
+
+    /// Noise, then a motif repeated so its match is still running 0..=11
+    /// bytes before the end, then that many bytes that break it.
+    fn match_into_the_tail() -> impl Strategy<Value = Vec<u8>> {
+        (
+            prop::collection::vec(any::<u8>(), 0..40),
+            prop::collection::vec(any::<u8>(), 1..20),
+            2usize..30,
+            0usize..12,
+        )
+            .prop_map(|(mut src, motif, repeats, tail)| {
+                src.extend(motif.repeat(repeats));
+                let last = *src.last().expect("the motif is not empty");
+                src.extend((1..=tail).map(|i| last.wrapping_add(i as u8)));
+                src
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn parse_equals_reference_on_class_pages(page in class_page()) {
+            for s in SETTINGS {
+                prop_assert_eq!(parse(&page, s), reference_parse(&page, s), "settings {:?}", s);
+            }
+        }
+
+        #[test]
+        fn parse_equals_reference_when_a_match_reaches_the_tail(src in match_into_the_tail()) {
+            for s in SETTINGS {
+                prop_assert_eq!(parse(&src, s), reference_parse(&src, s), "settings {:?}", s);
+            }
         }
     }
 }

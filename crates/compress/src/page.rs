@@ -52,6 +52,10 @@ impl CompressedPage {
 
 /// Compresses one 4 KiB page and applies the incompressible cutoff.
 ///
+/// The codec's output never exceeds `codec.max_compressed_len(PAGE_SIZE)`
+/// — pages that expand are the ones thrown away here — so a scratch buffer
+/// of that capacity (this function's, `ZswapStore`'s) never reallocates.
+///
 /// # Panics
 ///
 /// Panics if `page` is not exactly [`PAGE_SIZE`] bytes: the zswap store

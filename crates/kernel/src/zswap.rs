@@ -56,11 +56,13 @@ pub struct ZswapStore {
 impl ZswapStore {
     /// Creates a store using the given codec (the paper deploys lzo).
     pub fn new(kind: CodecKind) -> Self {
+        let codec = kind.build();
+        let scratch = Vec::with_capacity(codec.max_compressed_len(PAGE_SIZE));
         ZswapStore {
-            codec: kind.build(),
+            codec,
             arena: ZsmallocArena::new(),
             stats: ZswapStats::default(),
-            scratch: Vec::with_capacity(PAGE_SIZE + PAGE_SIZE.div_ceil(8)),
+            scratch,
         }
     }
 
