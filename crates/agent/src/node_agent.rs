@@ -8,6 +8,13 @@ use sdfm_kernel::{Kernel, StorePressure};
 use sdfm_types::ids::JobId;
 use sdfm_types::time::SimTime;
 
+/// Ticks between arena compactions.
+const COMPACT_EVERY_TICKS: u64 = 10;
+
+/// Store-lifecycle policy applied every tick (disabled-store decay,
+/// soft-limit restoration, demotion budget).
+const STORE_PRESSURE: StorePressure = StorePressure::PAPER_DEFAULT;
+
 /// Drives one machine: owns a [`JobController`] per registered job, reads
 /// kernel statistics every minute, and pushes decisions back into the
 /// kernel (zswap enablement, soft limit, reclaim threshold). Also triggers
@@ -18,11 +25,6 @@ pub struct NodeAgent {
     slo: SloConfig,
     controllers: BTreeMap<JobId, JobController>,
     ticks: u64,
-    /// Compact the arena every this many ticks (0 = never).
-    compact_every: u64,
-    /// Store-lifecycle policy applied every tick (disabled-store decay,
-    /// soft-limit restoration).
-    pressure: StorePressure,
 }
 
 impl NodeAgent {
@@ -33,19 +35,7 @@ impl NodeAgent {
             slo,
             controllers: BTreeMap::new(),
             ticks: 0,
-            compact_every: 10,
-            pressure: StorePressure::PAPER_DEFAULT,
         }
-    }
-
-    /// The store-lifecycle policy in force.
-    pub fn store_pressure(&self) -> StorePressure {
-        self.pressure
-    }
-
-    /// Overrides the store-lifecycle policy.
-    pub fn set_store_pressure(&mut self, pressure: StorePressure) {
-        self.pressure = pressure;
     }
 
     /// The parameters currently in force.
@@ -125,7 +115,7 @@ impl NodeAgent {
                 .and_then(|()| {
                     if decision.zswap_enabled {
                         let zswapped = kernel.memcg(job)?.stats().zswapped_pages;
-                        let budget = self.pressure.decay_step(zswapped);
+                        let budget = STORE_PRESSURE.decay_step(zswapped);
                         kernel.demote_job(job, budget).map(|_| ())
                     } else {
                         Ok(())
@@ -134,7 +124,11 @@ impl NodeAgent {
                 // Store lifecycle: decay a disabled job's store one step,
                 // or restore working-set pages a raised soft limit now
                 // protects.
-                .and_then(|()| kernel.store_lifecycle_tick(job, &self.pressure).map(|_| ()));
+                .and_then(|()| {
+                    kernel
+                        .store_lifecycle_tick(job, &STORE_PRESSURE)
+                        .map(|_| ())
+                });
             if pushed.is_err() {
                 dead.push(job);
                 continue;
@@ -144,7 +138,7 @@ impl NodeAgent {
         for job in dead {
             self.controllers.remove(&job);
         }
-        if self.compact_every > 0 && self.ticks.is_multiple_of(self.compact_every) {
+        if self.ticks.is_multiple_of(COMPACT_EVERY_TICKS) {
             kernel.compact_zswap();
         }
         out
@@ -264,7 +258,7 @@ mod tests {
         agent.set_params(
             AgentParams::new(90.0, SimDuration::from_mins(1_000_000)).unwrap(),
         );
-        let budget = agent.store_pressure().windows_to_drain(stored) + 5;
+        let budget = STORE_PRESSURE.windows_to_drain(stored) + 5;
         run_minutes(&mut agent, &mut kernel, 30, budget);
         let s = kernel.memcg(job).unwrap().stats();
         assert_eq!(s.zswapped_pages, 0, "dead store survived the decay");

@@ -1,24 +1,25 @@
-//! Pluggable far-memory backends and the demotion chain (§8).
+//! Far-memory tiers and the demotion chain (§8).
 //!
 //! The paper's end state is "multiple tiers of far memory (sub-µs tier-1
 //! and single-µs tier-2), all managed intelligently". PR 5's writeback
 //! still meant "decompress back to DRAM or discard"; this module gives
 //! cold compressed pages somewhere *slower* to go instead: a
-//! [`DemotionChain`] of [`FarBackend`] tiers ordered warmest → coldest.
+//! [`DemotionChain`] of tiers ordered warmest → coldest, each described
+//! by a plain [`BackendConfig`] value. Three families ship with the
+//! kernel, told apart by [`BackendConfig::kind`]:
 //!
-//! Three deterministic backend implementations ship with the kernel:
+//! * [`BackendConfig::compressed_ram`] — today's zswap store as the
+//!   identity tier: elastic capacity, no transfer cost. Inside a
+//!   [`Kernel`] chain this tier is *positional* — the real pages live in
+//!   the [`ZswapStore`](crate::ZswapStore) as `PageState::Zswapped` and
+//!   their CPU costs are charged through [`CostModel`](crate::CostModel).
+//! * [`BackendConfig::ssd`] / [`BackendConfig::nvm_like`] — per-op
+//!   latency plus transfer time, **finite capacity** (the §2.1 stranding
+//!   risk).
+//! * [`BackendConfig::remote`] — higher latency, unbounded capacity,
+//!   per-byte transfer cost accounted for TCO.
 //!
-//! * [`CompressedRamBackend`] — today's zswap store as the identity
-//!   backend: elastic capacity, no transfer cost. Inside a [`Kernel`]
-//!   chain this tier is *positional* — the real pages live in the
-//!   [`ZswapStore`](crate::ZswapStore) as `PageState::Zswapped` and their
-//!   CPU costs are charged through [`CostModel`](crate::CostModel).
-//! * [`SsdBackend`] — queue-depth-limited bandwidth, per-op latency,
-//!   **finite capacity** (the §2.1 stranding risk).
-//! * [`RemoteBackend`] — higher latency, unbounded capacity, per-byte
-//!   transfer cost accounted for TCO.
-//!
-//! Every backend is a pure integer state machine: page movements are
+//! Every tier is the same pure integer state machine: page movements are
 //! tracked by count, per-op costs derive from the [`BackendConfig`] with
 //! `div_ceil` arithmetic, and no wall clock or RNG is involved — the D1/D2
 //! determinism contract holds, so fleet runs are bit-identical at any
@@ -28,6 +29,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::error::KernelError;
 use sdfm_types::arith::div_ceil_u64;
 use sdfm_types::size::{PageCount, PAGE_SIZE};
 
@@ -35,29 +37,18 @@ use sdfm_types::size::{PageCount, PAGE_SIZE};
 /// they stay `Copy` and serializable without allocation.
 pub const MAX_TIERS: usize = 4;
 
-/// The three shipped backend families.
+/// The three shipped tier families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BackendKind {
     /// Compressed RAM (zswap): the identity backend — pages stay in DRAM,
     /// just smaller.
     CompressedRam,
     /// A simulated local SSD / NVM-class device: finite capacity, per-op
-    /// latency, queue-depth-limited bandwidth.
+    /// latency, bandwidth-limited transfers.
     SimulatedSsd,
     /// A simulated remote-memory tier: unbounded capacity, higher latency,
     /// per-byte transfer cost.
     SimulatedRemote,
-}
-
-impl BackendKind {
-    /// Short stable name used in reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            BackendKind::CompressedRam => "compressed_ram",
-            BackendKind::SimulatedSsd => "simulated_ssd",
-            BackendKind::SimulatedRemote => "simulated_remote",
-        }
-    }
 }
 
 /// Deterministic cost/capacity parameters for one backend tier.
@@ -78,9 +69,6 @@ pub struct BackendConfig {
     /// RAM-resident tiers). One 4 KiB page at 2000 B/µs adds ~2 µs of
     /// transfer time per op.
     pub bandwidth_bytes_per_us: u64,
-    /// Operations the device pipelines concurrently; latency amortizes
-    /// across the queue but transfer bandwidth does not.
-    pub queue_depth: u32,
     /// Dollar cost of moving one byte over the tier's interconnect, in
     /// nano-cents (10⁻⁹ ¢). Zero for local tiers; the remote tier's
     /// per-byte cost feeds the TCO model.
@@ -100,14 +88,13 @@ impl BackendConfig {
             load_ns: 6_400,
             store_ns: 10_000,
             bandwidth_bytes_per_us: 0,
-            queue_depth: 1,
             cost_nanocents_per_byte: 0,
         }
     }
 
     /// A plausible Optane-DIMM-like device tier (§8's sub-µs tier-1):
-    /// 300 ns loads, 700 ns stores, ideal bandwidth and no queueing, so
-    /// per-op costs are exactly those latencies. Capacity is in base-page
+    /// 300 ns loads, 700 ns stores and ideal bandwidth, so per-op costs
+    /// are exactly those latencies. Capacity is in base-page
     /// *frames*, fixed at provisioning time: a huge page is one
     /// [`PageTable`](crate::page_table::PageTable) entry but demotes
     /// frame by frame after splitting.
@@ -118,14 +105,12 @@ impl BackendConfig {
             load_ns: 300,
             store_ns: 700,
             bandwidth_bytes_per_us: 0,
-            queue_depth: 1,
             cost_nanocents_per_byte: 0,
         }
     }
 
     /// A plausible datacenter NVMe SSD tier: tens-of-µs latency class,
-    /// ~2 GB/s of device bandwidth shared across a queue depth of 8, and
-    /// a hard capacity.
+    /// ~2 GB/s of device bandwidth, and a hard capacity.
     pub fn ssd(capacity: PageCount) -> Self {
         BackendConfig {
             kind: BackendKind::SimulatedSsd,
@@ -133,7 +118,6 @@ impl BackendConfig {
             load_ns: 20_000,
             store_ns: 30_000,
             bandwidth_bytes_per_us: 2_000,
-            queue_depth: 8,
             cost_nanocents_per_byte: 0,
         }
     }
@@ -148,14 +132,8 @@ impl BackendConfig {
             load_ns: 100_000,
             store_ns: 100_000,
             bandwidth_bytes_per_us: 1_000,
-            queue_depth: 16,
             cost_nanocents_per_byte: 2,
         }
-    }
-
-    /// Whether the configured capacity is the unbounded sentinel.
-    pub fn is_unbounded(&self) -> bool {
-        self.capacity == Self::UNBOUNDED
     }
 
     /// Nanoseconds to move one 4 KiB page across the tier's interconnect
@@ -177,23 +155,6 @@ impl BackendConfig {
     /// Full demotion latency for one page: device store plus transfer.
     pub fn store_op_ns(&self) -> u64 {
         self.store_ns + self.transfer_ns()
-    }
-
-    /// Throughput charge per operation: with `queue_depth` ops in flight
-    /// the per-op *latency* pipelines, but transfer bandwidth is a shared
-    /// resource — the device cannot stream pages faster than the link.
-    pub fn occupancy_ns(&self) -> u64 {
-        let pipelined_ns = div_ceil_u64(self.fault_ns(), self.queue_depth.max(1) as u64);
-        self.transfer_ns().max(pipelined_ns)
-    }
-
-    /// Builds the backend this config describes.
-    pub fn build(&self) -> Box<dyn FarBackend + Send> {
-        match self.kind {
-            BackendKind::CompressedRam => Box::new(CompressedRamBackend::new(*self)),
-            BackendKind::SimulatedSsd => Box::new(SsdBackend::new(*self)),
-            BackendKind::SimulatedRemote => Box::new(RemoteBackend::new(*self)),
-        }
     }
 }
 
@@ -250,81 +211,39 @@ impl ChainPolicy {
     }
 }
 
-/// One pluggable far-memory tier.
-///
-/// Backends track pages **by count** — the kernel owns per-page state
-/// ([`crate::PageState::Demoted`] carries the chain index). All methods
-/// are deterministic integer updates.
-pub trait FarBackend: std::fmt::Debug {
-    /// The backend family.
-    fn kind(&self) -> BackendKind;
-
-    /// The configuration the backend was built with.
-    fn config(&self) -> BackendConfig;
-
-    /// Cumulative counters.
-    fn stats(&self) -> BackendStats;
-
-    /// Free capacity in pages (unbounded tiers report the sentinel gap).
-    fn free(&self) -> PageCount;
-
-    /// Whether a store would be accepted right now.
-    fn has_room(&self) -> bool;
-
-    /// Attempts to store one page. Returns the nanoseconds charged, or
-    /// `None` when the tier is full (counted in
-    /// [`BackendStats::full_rejections`]).
-    fn store_page(&mut self) -> Option<u64>;
-
-    /// Loads (removes) one page on fault-back; returns the nanoseconds
-    /// charged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tier is empty — the kernel only loads pages it
-    /// stored (a caller bug, not a machine state).
-    fn load_page(&mut self) -> u64;
-
-    /// Drops one page without a fault (job exit / demotion down-chain).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tier is empty.
-    fn discard_page(&mut self);
-
-    /// Records that demand existed while the tier was full, without an
-    /// actual store attempt (callers gate attempts and report stranding
-    /// once per reclaim pass).
-    fn record_stranding(&mut self);
-}
-
-/// Shared count-based device state: every shipped backend is this integer
-/// machine parameterized by its config.
+/// One tier of a [`DemotionChain`]: a count-based integer machine
+/// parameterized by its config. Tiers track pages **by count** — the
+/// kernel owns per-page state ([`crate::PageState::Demoted`] carries the
+/// chain index).
 #[derive(Debug, Clone)]
-struct DeviceCore {
+pub(crate) struct Tier {
     config: BackendConfig,
     stats: BackendStats,
 }
 
-impl DeviceCore {
-    fn new(config: BackendConfig) -> Self {
-        DeviceCore {
+impl Tier {
+    pub(crate) fn new(config: BackendConfig) -> Self {
+        Tier {
             config,
             stats: BackendStats::default(),
         }
     }
 
-    fn free(&self) -> PageCount {
-        self.config
-            .capacity
-            .saturating_sub(PageCount::new(self.stats.resident_pages))
+    /// Whether the tier holds `Demoted` pages (compressed-RAM tiers are
+    /// positional: their pages are `Zswapped`).
+    fn is_device(&self) -> bool {
+        self.config.kind != BackendKind::CompressedRam
     }
 
-    fn has_room(&self) -> bool {
+    /// Whether a store would be accepted right now.
+    pub(crate) fn has_room(&self) -> bool {
         self.stats.resident_pages < self.config.capacity.get()
     }
 
-    fn store_page(&mut self) -> Option<u64> {
+    /// Attempts to store one page. Returns the nanoseconds charged, or
+    /// `None` when the tier is full (counted in
+    /// [`BackendStats::full_rejections`]).
+    pub(crate) fn store_page(&mut self) -> Option<u64> {
         if !self.has_room() {
             self.stats.full_rejections += 1;
             return None;
@@ -337,86 +256,52 @@ impl DeviceCore {
         Some(ns)
     }
 
-    fn load_page(&mut self) -> u64 {
-        assert!(
-            self.stats.resident_pages > 0,
-            "far-backend load from empty device"
-        );
+    /// Loads (removes) one page on fault-back; returns the nanoseconds
+    /// charged.
+    ///
+    /// # Errors
+    ///
+    /// [`KernelError::StoreCorrupt`] if the tier is empty: a page table
+    /// says a page lives here but the tier never stored it (the chain was
+    /// swapped under live demoted pages).
+    pub(crate) fn load_page(&mut self) -> Result<u64, KernelError> {
+        self.take_page()?;
         let ns = self.config.fault_ns();
-        self.stats.resident_pages -= 1;
         self.stats.loads += 1;
         self.stats.ns_charged += ns;
         self.stats.bytes_transferred += PAGE_SIZE as u64;
-        ns
+        Ok(ns)
     }
 
-    fn discard_page(&mut self) {
-        assert!(
-            self.stats.resident_pages > 0,
-            "far-backend discard from empty device"
-        );
-        self.stats.resident_pages -= 1;
+    /// Drops one page without a fault (job exit / overflow into zswap).
+    ///
+    /// # Errors
+    ///
+    /// As [`load_page`](Self::load_page).
+    pub(crate) fn discard_page(&mut self) -> Result<(), KernelError> {
+        self.take_page()?;
         self.stats.discards += 1;
+        Ok(())
+    }
+
+    fn take_page(&mut self) -> Result<(), KernelError> {
+        self.stats.resident_pages =
+            self.stats
+                .resident_pages
+                .checked_sub(1)
+                .ok_or(KernelError::StoreCorrupt {
+                    detail: "page table names a device tier that holds no pages",
+                })?;
+        Ok(())
+    }
+
+    /// Records that demand existed while the tier was full, without an
+    /// actual store attempt (callers gate attempts and report stranding
+    /// once per reclaim pass).
+    pub(crate) fn record_stranding(&mut self) {
+        self.stats.full_rejections += 1;
     }
 }
-
-macro_rules! delegate_backend {
-    ($ty:ident, $kind:expr) => {
-        impl $ty {
-            /// Builds the backend from its config (the `kind` field is
-            /// overridden to this backend's family).
-            pub fn new(mut config: BackendConfig) -> Self {
-                config.kind = $kind;
-                $ty(DeviceCore::new(config))
-            }
-        }
-
-        impl FarBackend for $ty {
-            fn kind(&self) -> BackendKind {
-                $kind
-            }
-            fn config(&self) -> BackendConfig {
-                self.0.config
-            }
-            fn stats(&self) -> BackendStats {
-                self.0.stats
-            }
-            fn free(&self) -> PageCount {
-                self.0.free()
-            }
-            fn has_room(&self) -> bool {
-                self.0.has_room()
-            }
-            fn store_page(&mut self) -> Option<u64> {
-                self.0.store_page()
-            }
-            fn load_page(&mut self) -> u64 {
-                self.0.load_page()
-            }
-            fn discard_page(&mut self) {
-                self.0.discard_page()
-            }
-            fn record_stranding(&mut self) {
-                self.0.stats.full_rejections += 1;
-            }
-        }
-    };
-}
-
-/// The identity backend: compressed RAM (zswap).
-#[derive(Debug, Clone)]
-pub struct CompressedRamBackend(DeviceCore);
-delegate_backend!(CompressedRamBackend, BackendKind::CompressedRam);
-
-/// The simulated SSD tier: finite capacity, queue-depth-limited bandwidth.
-#[derive(Debug, Clone)]
-pub struct SsdBackend(DeviceCore);
-delegate_backend!(SsdBackend, BackendKind::SimulatedSsd);
-
-/// The simulated remote-memory tier: unbounded, slow, charged per byte.
-#[derive(Debug, Clone)]
-pub struct RemoteBackend(DeviceCore);
-delegate_backend!(RemoteBackend, BackendKind::SimulatedRemote);
 
 /// An ordered ladder of far-memory tiers, warmest first.
 ///
@@ -428,7 +313,7 @@ delegate_backend!(RemoteBackend, BackendKind::SimulatedRemote);
 /// the next tier down; the rejection is counted on the full tier.
 #[derive(Debug)]
 pub struct DemotionChain {
-    tiers: Vec<Box<dyn FarBackend + Send>>,
+    tiers: Vec<Tier>,
 }
 
 impl DemotionChain {
@@ -444,7 +329,7 @@ impl DemotionChain {
             "demotion chain must have 1..=MAX_TIERS tiers"
         );
         DemotionChain {
-            tiers: configs.iter().map(|c| c.build()).collect(),
+            tiers: configs.iter().copied().map(Tier::new).collect(),
         }
     }
 
@@ -458,39 +343,30 @@ impl DemotionChain {
         self.tiers.is_empty()
     }
 
-    /// The tier at `index`.
-    pub fn tier(&self, index: usize) -> Option<&(dyn FarBackend + Send + 'static)> {
-        self.tiers.get(index).map(|t| t.as_ref())
-    }
-
     /// Mutable access to the tier at `index`.
-    pub fn tier_mut(&mut self, index: usize) -> Option<&mut (dyn FarBackend + Send + 'static)> {
-        self.tiers.get_mut(index).map(|t| t.as_mut())
+    pub(crate) fn tier_mut(&mut self, index: usize) -> Option<&mut Tier> {
+        self.tiers.get_mut(index)
     }
 
     /// Per-tier configs, in chain order.
     pub fn configs(&self) -> Vec<BackendConfig> {
-        self.tiers.iter().map(|t| t.config()).collect()
+        self.tiers.iter().map(|t| t.config).collect()
     }
 
     /// Per-tier counters, in chain order.
     pub fn stats(&self) -> Vec<BackendStats> {
-        self.tiers.iter().map(|t| t.stats()).collect()
+        self.tiers.iter().map(|t| t.stats).collect()
     }
 
     /// Index of the compressed-RAM tier, if the chain has one.
     pub fn compressed_index(&self) -> Option<usize> {
-        self.tiers
-            .iter()
-            .position(|t| t.kind() == BackendKind::CompressedRam)
+        self.tiers.iter().position(|t| !t.is_device())
     }
 
     /// Index of the first *device* tier (anything that is not compressed
     /// RAM) — the tier the two-tier compat surface calls "tier-1".
     pub fn first_device_index(&self) -> Option<usize> {
-        self.tiers
-            .iter()
-            .position(|t| t.kind() != BackendKind::CompressedRam)
+        self.tiers.iter().position(Tier::is_device)
     }
 
     /// The first device tier *warmer* than (before) the compressed-RAM
@@ -512,17 +388,8 @@ impl DemotionChain {
         let start = self.compressed_index()? + 1;
         self.tiers[start..]
             .iter()
-            .position(|t| t.kind() != BackendKind::CompressedRam)
+            .position(Tier::is_device)
             .map(|offset| start + offset)
-    }
-
-    /// The first device tier at or below `start` with room, checked
-    /// without mutating anything. Skips compressed-RAM tiers (those hold
-    /// `Zswapped` pages, not `Demoted` ones).
-    pub fn accepting_device_from(&self, start: usize) -> Option<usize> {
-        (start..self.tiers.len()).find(|&i| {
-            self.tiers[i].kind() != BackendKind::CompressedRam && self.tiers[i].has_room()
-        })
     }
 
     /// Stores one page at the first device tier at or below `start`,
@@ -532,7 +399,7 @@ impl DemotionChain {
     /// full.
     pub fn store_with_overflow(&mut self, start: usize) -> Option<(usize, u64)> {
         for i in start..self.tiers.len() {
-            if self.tiers[i].kind() == BackendKind::CompressedRam {
+            if !self.tiers[i].is_device() {
                 continue;
             }
             if let Some(ns) = self.tiers[i].store_page() {
@@ -547,14 +414,14 @@ impl DemotionChain {
     pub fn device_resident_pages(&self) -> u64 {
         self.tiers
             .iter()
-            .filter(|t| t.kind() != BackendKind::CompressedRam)
-            .map(|t| t.stats().resident_pages)
+            .filter(|t| t.is_device())
+            .map(|t| t.stats.resident_pages)
             .sum()
     }
 
     /// Total nanoseconds charged across every tier.
     pub fn total_ns_charged(&self) -> u64 {
-        self.tiers.iter().map(|t| t.stats().ns_charged).sum()
+        self.tiers.iter().map(|t| t.stats.ns_charged).sum()
     }
 
     /// Total interconnect dollar cost across every tier, in nano-cents
@@ -563,7 +430,7 @@ impl DemotionChain {
     pub fn transfer_cost_nanocents(&self) -> u64 {
         self.tiers
             .iter()
-            .map(|t| t.stats().bytes_transferred * t.config().cost_nanocents_per_byte)
+            .map(|t| t.stats.bytes_transferred * t.config.cost_nanocents_per_byte)
             .sum()
     }
 }
@@ -574,36 +441,35 @@ mod tests {
 
     #[test]
     fn ssd_capacity_is_hard_and_counted() {
-        let mut ssd = SsdBackend::new(BackendConfig::ssd(PageCount::new(2)));
+        let mut ssd = Tier::new(BackendConfig::ssd(PageCount::new(2)));
         assert!(ssd.store_page().is_some());
         assert!(ssd.store_page().is_some());
         assert!(ssd.store_page().is_none(), "third store must reject");
-        assert_eq!(ssd.stats().full_rejections, 1);
-        assert_eq!(ssd.free(), PageCount::ZERO);
+        assert_eq!(ssd.stats.full_rejections, 1);
         assert!(!ssd.has_room());
     }
 
     #[test]
     fn nvm_like_keeps_exact_per_op_costs() {
         let cfg = BackendConfig::nvm_like(PageCount::new(10));
-        // Infinite bandwidth, queue depth 1: the backend charges exactly
-        // the configured latencies.
+        // Infinite bandwidth: the tier charges exactly the configured
+        // latencies.
         assert_eq!(cfg.fault_ns(), 300);
         assert_eq!(cfg.store_op_ns(), 700);
-        let mut dev = cfg.build();
+        let mut dev = Tier::new(cfg);
         dev.store_page();
-        dev.load_page();
-        assert_eq!(dev.stats().ns_charged, 1_000);
+        dev.load_page().unwrap();
+        assert_eq!(dev.stats.ns_charged, 1_000);
     }
 
     #[test]
     fn nvm_like_stats_count_every_movement() {
-        let mut dev = BackendConfig::nvm_like(PageCount::new(2)).build();
+        let mut dev = Tier::new(BackendConfig::nvm_like(PageCount::new(2)));
         dev.store_page();
         dev.store_page();
         assert!(dev.store_page().is_none());
-        dev.load_page();
-        let stats = dev.stats();
+        dev.load_page().unwrap();
+        let stats = dev.stats;
         assert_eq!(stats.resident_pages, 1);
         assert_eq!(stats.stores, 2);
         assert_eq!(stats.loads, 1);
@@ -613,37 +479,37 @@ mod tests {
 
     #[test]
     fn nvm_like_capacity_is_hard() {
-        let mut dev = BackendConfig::nvm_like(PageCount::new(2)).build();
+        let mut dev = Tier::new(BackendConfig::nvm_like(PageCount::new(2)));
         assert!(dev.store_page().is_some());
         assert!(dev.store_page().is_some());
         assert!(dev.store_page().is_none(), "third store must reject");
-        assert_eq!(dev.stats().full_rejections, 1);
-        assert_eq!(dev.free(), PageCount::ZERO);
+        assert_eq!(dev.stats.full_rejections, 1);
+        assert!(!dev.has_room());
     }
 
     #[test]
     fn remote_is_unbounded() {
-        let mut remote = RemoteBackend::new(BackendConfig::remote());
+        let mut remote = Tier::new(BackendConfig::remote());
         for _ in 0..10_000 {
             assert!(remote.store_page().is_some());
         }
         assert!(remote.has_room());
-        assert_eq!(remote.stats().resident_pages, 10_000);
-        assert_eq!(remote.stats().full_rejections, 0);
+        assert_eq!(remote.stats.resident_pages, 10_000);
+        assert_eq!(remote.stats.full_rejections, 0);
     }
 
     #[test]
     fn load_and_discard_release_capacity() {
-        let mut ssd = SsdBackend::new(BackendConfig::ssd(PageCount::new(4)));
+        let mut ssd = Tier::new(BackendConfig::ssd(PageCount::new(4)));
         ssd.store_page();
         ssd.store_page();
-        ssd.load_page();
-        assert_eq!(ssd.stats().resident_pages, 1);
-        assert_eq!(ssd.stats().loads, 1);
-        ssd.discard_page();
-        assert_eq!(ssd.stats().resident_pages, 0);
-        assert_eq!(ssd.stats().discards, 1);
-        assert_eq!(ssd.free(), PageCount::new(4));
+        ssd.load_page().unwrap();
+        assert_eq!(ssd.stats.resident_pages, 1);
+        assert_eq!(ssd.stats.loads, 1);
+        ssd.discard_page().unwrap();
+        assert_eq!(ssd.stats.resident_pages, 0);
+        assert_eq!(ssd.stats.discards, 1);
+        assert!(ssd.has_room());
     }
 
     #[test]
@@ -653,8 +519,6 @@ mod tests {
         assert_eq!(cfg.transfer_ns(), 2_048);
         assert_eq!(cfg.fault_ns(), 20_000 + 2_048);
         assert_eq!(cfg.store_op_ns(), 30_000 + 2_048);
-        // Queue depth 8 pipelines latency; bandwidth stays the floor.
-        assert_eq!(cfg.occupancy_ns(), div_ceil_u64(22_048, 8).max(2_048));
         // Infinite-bandwidth tiers transfer for free.
         assert_eq!(BackendConfig::compressed_ram().transfer_ns(), 0);
     }
@@ -667,21 +531,27 @@ mod tests {
             load_ns: 300,
             store_ns: 700,
             bandwidth_bytes_per_us: 0,
-            queue_depth: 1,
             cost_nanocents_per_byte: 0,
         };
-        let mut dev = SsdBackend::new(cfg);
+        let mut dev = Tier::new(cfg);
         dev.store_page();
-        dev.load_page();
-        assert_eq!(dev.stats().ns_charged, 1_000);
-        assert_eq!(dev.stats().bytes_transferred, 2 * PAGE_SIZE as u64);
+        dev.load_page().unwrap();
+        assert_eq!(dev.stats.ns_charged, 1_000);
+        assert_eq!(dev.stats.bytes_transferred, 2 * PAGE_SIZE as u64);
     }
 
     #[test]
-    #[should_panic(expected = "empty device")]
-    fn load_from_empty_panics() {
-        let mut ssd = SsdBackend::new(BackendConfig::ssd(PageCount::new(1)));
-        ssd.load_page();
+    fn load_or_discard_from_an_empty_tier_is_a_typed_error() {
+        let mut ssd = Tier::new(BackendConfig::ssd(PageCount::new(1)));
+        assert!(matches!(
+            ssd.load_page(),
+            Err(KernelError::StoreCorrupt { .. })
+        ));
+        assert!(matches!(
+            ssd.discard_page(),
+            Err(KernelError::StoreCorrupt { .. })
+        ));
+        assert_eq!(ssd.stats, BackendStats::default(), "nothing was counted");
     }
 
     #[test]
@@ -742,19 +612,6 @@ mod tests {
             BackendConfig::remote(),
         ]);
         assert_eq!(all_dev.warm_device_index(), Some(0));
-    }
-
-    #[test]
-    fn accepting_device_skips_full_and_compressed_tiers() {
-        let mut chain = DemotionChain::from_configs(&[
-            BackendConfig::compressed_ram(),
-            BackendConfig::ssd(PageCount::new(1)),
-            BackendConfig::remote(),
-        ]);
-        assert_eq!(chain.accepting_device_from(1), Some(1));
-        chain.store_with_overflow(1);
-        assert_eq!(chain.accepting_device_from(1), Some(2));
-        assert_eq!(chain.accepting_device_from(0), Some(2));
     }
 
     #[test]

@@ -9,10 +9,11 @@ use crate::error::KernelError;
 use crate::kreclaimd::{self, ReclaimOutcome};
 use crate::kstaled::{self, ScanOutcome};
 use crate::memcg::{MemCgroup, MemcgStats};
-use crate::page::{Page, PageContent, PageState};
+use crate::moves::{FaultIn, Moves};
+use crate::page::{Page, PageContent, PageState, HUGE_SPAN};
 use crate::prefetch::PrefetchConfig;
 use crate::writeback::{
-    self, DemotionOutcome, HostPressureOutcome, LifecycleOutcome, StorePressure, WritebackOutcome,
+    self, DemotionOutcome, HostPressureOutcome, LifecycleOutcome, StorePressure, VictimOrder,
 };
 use crate::zswap::ZswapStore;
 use sdfm_compress::codec::CodecKind;
@@ -108,7 +109,6 @@ pub struct Kernel {
     chain: Option<DemotionChain>,
     memcgs: BTreeMap<JobId, MemCgroup>,
     cpu: CpuAccounting,
-    scans: u64,
 }
 
 impl Kernel {
@@ -120,15 +120,36 @@ impl Kernel {
             config,
             memcgs: BTreeMap::new(),
             cpu: CpuAccounting::default(),
-            scans: 0,
         }
+    }
+
+    /// Splits the kernel into its memcgs and the far memory their pages
+    /// move through, so a pass can hold one of each.
+    fn parts(&mut self) -> (&mut BTreeMap<JobId, MemCgroup>, Moves<'_>) {
+        let moves = Moves {
+            store: &mut self.zswap,
+            chain: self.chain.as_mut(),
+            cost: self.config.cost,
+            cpu: &mut self.cpu,
+        };
+        (&mut self.memcgs, moves)
+    }
+
+    /// [`parts`](Self::parts) narrowed to one job's memcg.
+    fn job_parts(&mut self, job: JobId) -> Result<(&mut MemCgroup, Moves<'_>), KernelError> {
+        let (memcgs, moves) = self.parts();
+        let cg = memcgs
+            .get_mut(&job)
+            .ok_or(KernelError::NoSuchMemcg { job })?;
+        Ok((cg, moves))
     }
 
     /// Attaches a demotion chain of far-memory tiers, warmest first (e.g.
     /// `[compressed RAM, SSD, remote]` for the three-tier ladder).
     /// Replaces any chain attached earlier; pages already demoted to a
     /// previous chain keep their per-memcg accounting, so swap chains only
-    /// on an empty ladder.
+    /// on an empty ladder — faulting, freeing or tearing down a page the
+    /// new chain never stored is a [`KernelError::StoreCorrupt`].
     pub fn enable_chain(&mut self, configs: &[BackendConfig]) {
         self.chain = Some(DemotionChain::from_configs(configs));
     }
@@ -161,43 +182,35 @@ impl Kernel {
         Ok(())
     }
 
-    /// Tears down `job`'s memcg, discarding its compressed pages, and
-    /// returns its final counters.
+    /// Tears down `job`'s memcg, discarding its compressed and demoted
+    /// pages, and returns its final counters: residency as of teardown,
+    /// with prefetched pages the job never demand-touched resolved as
+    /// wasted (closing the used+wasted==issued conservation law).
     ///
     /// # Errors
     ///
     /// [`KernelError::NoSuchMemcg`] if the job has no memcg;
-    /// [`KernelError::StaleHandle`] / [`KernelError::Tier1Missing`] when
-    /// the job's page tables reference store state that no longer exists
-    /// (the memcg is torn down either way).
+    /// [`KernelError::StaleHandle`] / [`KernelError::StoreCorrupt`] /
+    /// [`KernelError::Tier1Missing`] when the job's page tables reference
+    /// store or tier state that no longer exists. The memcg is torn down
+    /// either way, and every page is walked before the first error is
+    /// returned, so one bad handle cannot leak the rest of the job's store.
     pub fn remove_memcg(&mut self, job: JobId) -> Result<MemcgStats, KernelError> {
-        let mut cg = self
-            .memcgs
+        let (memcgs, mut moves) = self.parts();
+        let mut cg = memcgs
             .remove(&job)
             .ok_or(KernelError::NoSuchMemcg { job })?;
-        // Prefetched pages the job never demand-touched resolve as wasted
-        // at teardown, closing the used+wasted==issued conservation law.
+        // The returned residency is what the job held, not the zeros the
+        // walk below leaves behind.
+        let mut stats = cg.stats;
+        let mut first_error = None;
         for idx in 0..cg.pages.len() {
-            if cg.pages.prefetched(idx) {
-                cg.stats.prefetch_wasted += 1;
+            if let Err(e) = moves.drop_page(&mut cg, idx) {
+                first_error.get_or_insert(e);
             }
         }
-        for state in cg.pages.states() {
-            match state {
-                PageState::Zswapped(h) => self.zswap.discard(h)?,
-                PageState::Demoted(t) => self
-                    .chain
-                    .as_mut()
-                    .ok_or(KernelError::Tier1Missing)?
-                    .tier_mut(t as usize)
-                    .ok_or(KernelError::StoreCorrupt {
-                        detail: "page demoted to a tier the chain does not have",
-                    })?
-                    .discard_page(),
-                PageState::Resident => {}
-            }
-        }
-        Ok(cg.stats())
+        stats.prefetch_wasted = cg.stats.prefetch_wasted;
+        first_error.map_or(Ok(stats), Err)
     }
 
     /// Immutable access to a job's memcg.
@@ -266,36 +279,9 @@ impl Kernel {
         &mut self,
         job: JobId,
         n: usize,
-        mut content: impl FnMut(usize) -> PageContent,
+        content: impl FnMut(usize) -> PageContent,
     ) -> Result<(), KernelError> {
-        let limit = self.memcg(job)?.limit();
-        let usage = self.memcg(job)?.usage();
-        let attempted = usage + PageCount::new(n as u64);
-        if attempted > limit {
-            self.memcg_mut(job)?.set_zswap_enabled(false);
-            return Err(KernelError::MemcgOverLimit {
-                job,
-                limit,
-                attempted,
-            });
-        }
-        let needed = PageCount::new(n as u64);
-        if self.free_frames() < needed {
-            let shortfall = needed.saturating_sub(self.free_frames());
-            self.direct_reclaim(shortfall)?;
-        }
-        if self.free_frames() < needed {
-            return Err(KernelError::OutOfMemory {
-                requested: needed,
-                free: self.free_frames(),
-            });
-        }
-        let cg = self.memcg_mut(job)?;
-        for i in 0..n {
-            cg.pages.push(Page::new(content(i)));
-        }
-        cg.stats.resident_pages += n as u64;
-        Ok(())
+        self.alloc(job, n, 1, content)
     }
 
     /// Allocates `n_huge` 2 MiB huge pages to `job` (each maps
@@ -309,13 +295,22 @@ impl Kernel {
         &mut self,
         job: JobId,
         n_huge: usize,
+        content: impl FnMut(usize) -> PageContent,
+    ) -> Result<(), KernelError> {
+        self.alloc(job, n_huge, HUGE_SPAN, content)
+    }
+
+    /// Allocates `n` entries of `span` frames each.
+    fn alloc(
+        &mut self,
+        job: JobId,
+        n: usize,
+        span: u16,
         mut content: impl FnMut(usize) -> PageContent,
     ) -> Result<(), KernelError> {
-        let span = crate::page::HUGE_SPAN as u64;
-        let frames = PageCount::new(n_huge as u64 * span);
+        let frames = PageCount::new(n as u64 * span as u64);
         let limit = self.memcg(job)?.limit();
-        let usage = self.memcg(job)?.usage();
-        let attempted = usage + frames;
+        let attempted = self.memcg(job)?.usage() + frames;
         if attempted > limit {
             self.memcg_mut(job)?.set_zswap_enabled(false);
             return Err(KernelError::MemcgOverLimit {
@@ -335,10 +330,13 @@ impl Kernel {
             });
         }
         let cg = self.memcg_mut(job)?;
-        for i in 0..n_huge {
-            cg.pages.push(Page::new_huge(content(i)));
+        for i in 0..n {
+            cg.pages.push(Page {
+                span,
+                ..Page::new(content(i))
+            });
         }
-        cg.stats.resident_pages += n_huge as u64 * span;
+        cg.stats.resident_pages += frames.get();
         Ok(())
     }
 
@@ -346,50 +344,15 @@ impl Kernel {
     ///
     /// # Errors
     ///
-    /// [`KernelError::NoSuchMemcg`] if the job has no memcg. Freeing more
-    /// pages than the job holds frees them all.
+    /// [`KernelError::NoSuchMemcg`] if the job has no memcg, or a store
+    /// inconsistency on a page's way out (that page and the ones before
+    /// it stay). Freeing more pages than the job holds frees them all.
     pub fn free_pages(&mut self, job: JobId, n: usize) -> Result<(), KernelError> {
-        // Split borrows: take pages out, then discard handles.
-        let cg = self
-            .memcgs
-            .get_mut(&job)
-            .ok_or(KernelError::NoSuchMemcg { job })?;
-        let n = n.min(cg.pages.len());
-        for _ in 0..n {
-            // The prefetched-pending mark is SoA-only and does not survive
-            // `pop`; read it before the entry leaves the table.
-            let was_prefetched = cg
-                .pages
-                .len()
-                .checked_sub(1)
-                .is_some_and(|last| cg.pages.prefetched(last));
-            let Some(page) = cg.pages.pop() else { break };
-            if was_prefetched {
-                cg.stats.prefetch_wasted += 1;
-            }
-            match page.state {
-                PageState::Zswapped(h) => {
-                    cg.stats.zswapped_pages -= 1;
-                    cg.stats.zswapped_bytes -=
-                        self.zswap.stored_size(h).ok_or(KernelError::StaleHandle)? as u64;
-                    self.zswap.discard(h)?;
-                }
-                PageState::Demoted(t) => {
-                    cg.stats.demoted_pages[t as usize] -= 1;
-                    self.chain
-                        .as_mut()
-                        .ok_or(KernelError::Tier1Missing)?
-                        .tier_mut(t as usize)
-                        .ok_or(KernelError::StoreCorrupt {
-                            detail: "page demoted to a tier the chain does not have",
-                        })?
-                        .discard_page();
-                }
-                PageState::Resident => cg.stats.resident_pages -= page.span as u64,
-            }
-            if page.flags.incompressible {
-                cg.stats.incompressible_marked = cg.stats.incompressible_marked.saturating_sub(1);
-            }
+        let (cg, mut moves) = self.job_parts(job)?;
+        let len = cg.pages.len();
+        for last in (len.saturating_sub(n)..len).rev() {
+            moves.drop_page(cg, last)?;
+            cg.pages.pop();
         }
         Ok(())
     }
@@ -402,7 +365,6 @@ impl Kernel {
     ///
     /// [`KernelError::NoSuchMemcg`] / [`KernelError::NoSuchPage`].
     pub fn touch(&mut self, job: JobId, page: PageId, write: bool) -> Result<bool, KernelError> {
-        let cost = self.config.cost;
         let prefetch = self.config.prefetch;
         let cg = self
             .memcgs
@@ -414,47 +376,6 @@ impl Kernel {
             .get_state(idx)
             .ok_or(KernelError::NoSuchPage { job, page })?;
         let promoted = match state {
-            PageState::Zswapped(h) => {
-                let size = self.zswap.stored_size(h).ok_or(KernelError::StaleHandle)? as u64;
-                let bytes = self.zswap.load(h)?;
-                if let (Some(loaded), PageContent::Real(original)) = (&bytes, cg.pages.content(idx))
-                {
-                    if loaded != original {
-                        return Err(KernelError::StoreCorrupt {
-                            detail: "zswap corrupted page contents",
-                        });
-                    }
-                }
-                cg.pages.set_state(idx, PageState::Resident);
-                cg.stats.zswapped_pages -= 1;
-                cg.stats.zswapped_bytes -= size;
-                // Frames, not entries: a (directly constructed) huge
-                // zswapped entry re-residents its whole span, consistent
-                // with `huge_page_scan_counts_entries_but_promotes_frames`.
-                cg.stats.resident_pages += cg.pages.span(idx) as u64;
-                cg.stats.decompressions += 1;
-                self.cpu.charge_decompress(&cost);
-                true
-            }
-            PageState::Demoted(t) => {
-                let ns = self
-                    .chain
-                    .as_mut()
-                    .ok_or(KernelError::Tier1Missing)?
-                    .tier_mut(t as usize)
-                    .ok_or(KernelError::StoreCorrupt {
-                        detail: "page demoted to a tier the chain does not have",
-                    })?
-                    .load_page();
-                // Fault-back I/O is CPU-visible wait time, charged like
-                // writeback decompressions are.
-                self.cpu.charge_tier_io(ns);
-                cg.pages.set_state(idx, PageState::Resident);
-                cg.stats.demoted_pages[t as usize] -= 1;
-                cg.stats.resident_pages += cg.pages.span(idx) as u64;
-                cg.stats.demoted_loads[t as usize] += 1;
-                true
-            }
             PageState::Resident => {
                 if cg.pages.prefetched(idx) {
                     // The prefetched page got its demand touch: the stall
@@ -463,6 +384,18 @@ impl Kernel {
                     cg.stats.prefetch_used += 1;
                 }
                 false
+            }
+            PageState::Zswapped(_) | PageState::Demoted(_) => {
+                // Borrowed here, not through `job_parts`: the resident arm
+                // above is the hot path and must not pay for the bundle.
+                let mut moves = Moves {
+                    store: &mut self.zswap,
+                    chain: self.chain.as_mut(),
+                    cost: self.config.cost,
+                    cpu: &mut self.cpu,
+                };
+                moves.fault_in(cg, idx, FaultIn::Promotion)?;
+                true
             }
         };
         if promoted && cg.prefetcher.cancel(idx as u64) {
@@ -487,7 +420,6 @@ impl Kernel {
     /// prefetch queue (predicted promotions ride the scan cadence, so the
     /// prefetcher issues exactly once per scan period).
     pub fn run_scan(&mut self) -> ScanOutcome {
-        self.scans += 1;
         let mut total = ScanOutcome::default();
         for cg in self.memcgs.values_mut() {
             let o = kstaled::scan_memcg(cg);
@@ -507,75 +439,43 @@ impl Kernel {
     }
 
     /// Promotes one memcg's queued predictions, up to the configured
-    /// drain budget. Each issued page pays exactly what a demand fault
-    /// pays — a charged decompression out of zswap or charged tier I/O
-    /// out of a device — but lands *before* the demand touch. The page
-    /// comes back hot (it is expected imminently) carrying the
+    /// drain budget. Each issued page goes through the same fault-in a
+    /// demand fault does — a charged decompression out of zswap or charged
+    /// tier I/O out of a device — but lands *before* the demand touch. The
+    /// page comes back hot (it is expected imminently) carrying the
     /// prefetched-pending mark until a demand touch (used) or a later
     /// reclaim (wasted) resolves it. Predictions that no longer point at
     /// far memory, or that the store cannot serve, are dropped without
     /// being counted as issued — a speculative promotion must never turn
     /// into an error or a phantom counter.
     fn drain_prefetch(&mut self, job: JobId) {
-        let cost = self.config.cost;
         let budget = self.config.prefetch.drain_budget();
         if budget == 0 {
             return;
         }
         let mut free = self.free_frames().get();
-        let Some(cg) = self.memcgs.get_mut(&job) else {
+        let Ok((cg, mut moves)) = self.job_parts(job) else {
             return;
         };
         for idx64 in cg.prefetcher.drain(budget) {
             let idx = idx64 as usize;
-            let Some(state) = cg.pages.get_state(idx) else {
+            if cg.pages.get_state(idx).is_none() {
                 continue;
-            };
+            }
             let span = cg.pages.span(idx) as u64;
             if free < span {
                 // Prefetching must never create memory pressure: stop
                 // issuing when the machine is out of frames.
                 break;
             }
-            match state {
-                PageState::Zswapped(h) => {
-                    let Some(size) = self.zswap.stored_size(h) else {
-                        continue;
-                    };
-                    if self.zswap.load(h).is_err() {
-                        continue;
-                    }
-                    cg.pages.set_state(idx, PageState::Resident);
-                    cg.stats.zswapped_pages -= 1;
-                    cg.stats.zswapped_bytes -= size as u64;
-                    cg.stats.resident_pages += span;
-                    cg.stats.decompressions += 1;
-                    self.cpu.charge_decompress(&cost);
-                }
-                PageState::Demoted(t) => {
-                    let Some(tier) = self.chain.as_mut().and_then(|c| c.tier_mut(t as usize))
-                    else {
-                        continue;
-                    };
-                    let ns = tier.load_page();
-                    self.cpu.charge_tier_io(ns);
-                    cg.pages.set_state(idx, PageState::Resident);
-                    cg.stats.demoted_pages[t as usize] -= 1;
-                    cg.stats.resident_pages += span;
-                    cg.stats.demoted_loads[t as usize] += 1;
-                }
-                PageState::Resident => continue,
+            if moves.fault_in(cg, idx, FaultIn::Promotion).is_err() {
+                continue;
             }
             free = free.saturating_sub(span);
             cg.stats.prefetch_issued += 1;
             cg.pages.set_prefetched(idx, true);
             cg.pages.set_age(idx, PageAge::HOT);
         }
-    }
-
-    /// Number of kstaled scans run.
-    pub fn scan_count(&self) -> u64 {
-        self.scans
     }
 
     /// Runs kreclaimd for one job at the given threshold.
@@ -589,12 +489,8 @@ impl Kernel {
         job: JobId,
         threshold: PageAge,
     ) -> Result<ReclaimOutcome, KernelError> {
-        let cost = self.config.cost;
-        let cg = self
-            .memcgs
-            .get_mut(&job)
-            .ok_or(KernelError::NoSuchMemcg { job })?;
-        kreclaimd::reclaim_memcg(cg, &mut self.zswap, threshold, &cost, &mut self.cpu)
+        let (cg, mut moves) = self.job_parts(job)?;
+        kreclaimd::reclaim_memcg(cg, &mut moves, threshold)
     }
 
     /// Two-tier reclaim (§8): pages at age ≥ `t2_threshold` compress into
@@ -627,118 +523,13 @@ impl Kernel {
             t1_threshold <= t2_threshold,
             "tier-1 threshold must not exceed tier-2's"
         );
-        let cost = self.config.cost;
-        let chain = self.chain.as_mut().ok_or(KernelError::Tier1Missing)?;
-        let dev = chain.warm_device_index().ok_or(KernelError::Tier1Missing)?;
-        let cg = self
-            .memcgs
-            .get_mut(&job)
-            .ok_or(KernelError::NoSuchMemcg { job })?;
-        let mut outcome = ReclaimOutcome::default();
-        if !cg.zswap_enabled() || t1_threshold == PageAge::HOT {
-            return Ok(outcome);
-        }
-        let mut stranded_this_pass = false;
-        let mut i = 0;
-        while i < cg.pages.len() {
-            // Huge pages split before entering either tier (neither the
-            // zswap store nor the page-granular device takes a 2 MiB
-            // mapping whole).
-            if cg.pages.is_huge(i)
-                && cg.pages.demote_eligible(i, t1_threshold)
-                && cg.split_huge_page(i)
-            {
-                outcome.huge_splits += 1;
-            }
-            let idx = i;
-            i += 1;
-            outcome.examined += 1;
-            // Overflow: warm-device residents that aged past the zswap
-            // threshold.
-            if cg.pages.state(idx) == PageState::Demoted(dev as u8)
-                && cg.pages.age(idx) >= t2_threshold
-            {
-                cg.stats.compressions += 1;
-                match self.zswap.store(cg.pages.content(idx))? {
-                    crate::zswap::StoreOutcome::Stored(h) => {
-                        self.cpu.charge_compress(&cost);
-                        let tier = chain.tier_mut(dev).ok_or(KernelError::StoreCorrupt {
-                            detail: "warm device tier vanished mid-pass",
-                        })?;
-                        tier.discard_page();
-                        cg.pages.set_state(idx, PageState::Zswapped(h));
-                        cg.stats.demoted_pages[dev] -= 1;
-                        cg.stats.zswapped_pages += 1;
-                        cg.stats.zswapped_bytes +=
-                            self.zswap.stored_size(h).ok_or(KernelError::StaleHandle)? as u64;
-                        outcome.reclaimed += 1;
-                    }
-                    crate::zswap::StoreOutcome::Rejected { .. } => {
-                        // Incompressible: it stays on the device (which
-                        // holds raw pages happily) — but the failed attempt
-                        // burned the same compression cycles (§5.1).
-                        self.cpu.charge_rejected_compress(&cost);
-                        cg.stats.rejections += 1;
-                        outcome.rejected += 1;
-                    }
-                }
-                continue;
-            }
-            // DRAM → zswap for the deep-cold.
-            if cg.pages.reclaim_eligible(idx, t2_threshold) {
-                cg.stats.compressions += 1;
-                match self.zswap.store(cg.pages.content(idx))? {
-                    crate::zswap::StoreOutcome::Stored(h) => {
-                        self.cpu.charge_compress(&cost);
-                        if cg.pages.prefetched(idx) {
-                            cg.pages.set_prefetched(idx, false);
-                            cg.stats.prefetch_wasted += 1;
-                        }
-                        cg.pages.set_state(idx, PageState::Zswapped(h));
-                        cg.stats.resident_pages -= 1;
-                        cg.stats.zswapped_pages += 1;
-                        cg.stats.zswapped_bytes +=
-                            self.zswap.stored_size(h).ok_or(KernelError::StaleHandle)? as u64;
-                        outcome.reclaimed += 1;
-                    }
-                    crate::zswap::StoreOutcome::Rejected { .. } => {
-                        self.cpu.charge_rejected_compress(&cost);
-                        cg.pages.set_incompressible(idx, true);
-                        cg.stats.incompressible_marked += 1;
-                        cg.stats.rejections += 1;
-                        outcome.rejected += 1;
-                    }
-                }
-                continue;
-            }
-            // DRAM → warm device for the warm-cold, capacity permitting.
-            if cg.pages.demote_eligible(idx, t1_threshold) {
-                let tier = chain.tier_mut(dev).ok_or(KernelError::StoreCorrupt {
-                    detail: "warm device tier vanished mid-pass",
-                })?;
-                if tier.has_room() {
-                    let ns = tier.store_page().ok_or(KernelError::StoreCorrupt {
-                        detail: "warm device tier filled mid-check",
-                    })?;
-                    self.cpu.charge_tier_io(ns);
-                    if cg.pages.prefetched(idx) {
-                        cg.pages.set_prefetched(idx, false);
-                        cg.stats.prefetch_wasted += 1;
-                    }
-                    cg.pages.set_state(idx, PageState::Demoted(dev as u8));
-                    cg.stats.resident_pages -= 1;
-                    cg.stats.demoted_pages[dev] += 1;
-                    cg.stats.demotions += 1;
-                    outcome.reclaimed += 1;
-                } else if !stranded_this_pass {
-                    // Demand exists but the fixed device is full: one
-                    // stranding event per pass (§2.1's provisioning risk).
-                    tier.record_stranding();
-                    stranded_this_pass = true;
-                }
-            }
-        }
-        Ok(outcome)
+        let dev = self
+            .chain
+            .as_ref()
+            .and_then(DemotionChain::warm_device_index)
+            .ok_or(KernelError::Tier1Missing)?;
+        let (cg, mut moves) = self.job_parts(job)?;
+        kreclaimd::reclaim_memcg_tiered(cg, &mut moves, dev, t1_threshold, t2_threshold)
     }
 
     /// Demotes up to `budget` of `job`'s coldest compressed pages down the
@@ -751,15 +542,8 @@ impl Kernel {
     ///
     /// [`KernelError::NoSuchMemcg`], or a store inconsistency mid-pass.
     pub fn demote_job(&mut self, job: JobId, budget: u64) -> Result<DemotionOutcome, KernelError> {
-        let cost = self.config.cost;
-        let Some(chain) = self.chain.as_mut() else {
-            return Ok(DemotionOutcome::default());
-        };
-        let cg = self
-            .memcgs
-            .get_mut(&job)
-            .ok_or(KernelError::NoSuchMemcg { job })?;
-        writeback::demote_coldest(cg, &mut self.zswap, chain, budget, &cost, &mut self.cpu)
+        let (cg, mut moves) = self.job_parts(job)?;
+        writeback::demote_coldest(cg, &mut moves, budget)
     }
 
     /// Direct reclaim under machine memory pressure: compresses the oldest
@@ -773,14 +557,13 @@ impl Kernel {
     /// failure stay freed.
     pub fn direct_reclaim(&mut self, needed: PageCount) -> Result<PageCount, KernelError> {
         let before = self.free_frames();
-        let cost = self.config.cost;
         let jobs: Vec<JobId> = self.memcgs.keys().copied().collect();
         'outer: for job in jobs {
             loop {
                 if self.free_frames() >= before + needed {
                     break 'outer;
                 }
-                let Some(cg) = self.memcgs.get_mut(&job) else {
+                let Ok((cg, mut moves)) = self.job_parts(job) else {
                     break;
                 };
                 if PageCount::new(cg.stats.resident_pages) <= cg.soft_limit() {
@@ -793,28 +576,8 @@ impl Kernel {
                     .max_by_key(|&i| cg.pages.age(i));
                 let Some(idx) = candidate else { break };
                 // Direct reclaim splits huge pages like the swap path does.
-                cg.split_huge_page(idx);
-                cg.stats.compressions += 1;
-                match self.zswap.store(cg.pages.content(idx))? {
-                    crate::zswap::StoreOutcome::Stored(h) => {
-                        self.cpu.charge_compress(&cost);
-                        if cg.pages.prefetched(idx) {
-                            cg.pages.set_prefetched(idx, false);
-                            cg.stats.prefetch_wasted += 1;
-                        }
-                        cg.pages.set_state(idx, PageState::Zswapped(h));
-                        cg.stats.resident_pages -= 1;
-                        cg.stats.zswapped_pages += 1;
-                        cg.stats.zswapped_bytes +=
-                            self.zswap.stored_size(h).ok_or(KernelError::StaleHandle)? as u64;
-                    }
-                    crate::zswap::StoreOutcome::Rejected { .. } => {
-                        self.cpu.charge_rejected_compress(&cost);
-                        cg.pages.set_incompressible(idx, true);
-                        cg.stats.incompressible_marked += 1;
-                        cg.stats.rejections += 1;
-                    }
-                }
+                cg.pages.split_huge(idx);
+                moves.compress_in(cg, idx)?;
             }
         }
         Ok(self.free_frames().saturating_sub(before))
@@ -823,27 +586,6 @@ impl Kernel {
     /// Compacts the zswap arena; returns frames reclaimed.
     pub fn compact_zswap(&mut self) -> PageCount {
         self.zswap.compact()
-    }
-
-    /// Writes back up to `budget` of `job`'s coldest compressed pages to
-    /// DRAM (LRU writeback; each page keeps its age, so a later re-enable
-    /// recompresses exactly the written-back mass). Decompressions are
-    /// charged to CPU accounting.
-    ///
-    /// # Errors
-    ///
-    /// [`KernelError::NoSuchMemcg`], or a store inconsistency mid-pass.
-    pub fn writeback_job(
-        &mut self,
-        job: JobId,
-        budget: u64,
-    ) -> Result<WritebackOutcome, KernelError> {
-        let cost = self.config.cost;
-        let cg = self
-            .memcgs
-            .get_mut(&job)
-            .ok_or(KernelError::NoSuchMemcg { job })?;
-        writeback::writeback_coldest(cg, &mut self.zswap, budget, &cost, &mut self.cpu)
     }
 
     /// One store-lifecycle control tick for `job` (the node agent calls
@@ -866,43 +608,16 @@ impl Kernel {
         job: JobId,
         policy: &StorePressure,
     ) -> Result<LifecycleOutcome, KernelError> {
-        let cost = self.config.cost;
-        let cg = self
-            .memcgs
-            .get_mut(&job)
-            .ok_or(KernelError::NoSuchMemcg { job })?;
-        let zswapped = cg.stats.zswapped_pages;
-        if zswapped == 0 {
-            return Ok(LifecycleOutcome::default());
+        let (cg, mut moves) = self.job_parts(job)?;
+        if !cg.zswap_enabled() {
+            return writeback::decay_dead_store(cg, &mut moves, policy);
         }
-        if cg.zswap_enabled() {
-            let deficit = cg
-                .soft_limit()
-                .get()
-                .saturating_sub(cg.stats.resident_pages)
-                .min(zswapped);
-            let writeback =
-                writeback::writeback_youngest(cg, &mut self.zswap, deficit, &cost, &mut self.cpu)?;
-            return Ok(LifecycleOutcome {
-                writeback,
-                ..LifecycleOutcome::default()
-            });
-        }
-        let budget = policy.decay_step(zswapped);
-        if let Some(chain) = self
-            .chain
-            .as_mut()
-            .filter(|c| c.device_below_compressed().is_some())
-        {
-            let demotion =
-                writeback::demote_coldest(cg, &mut self.zswap, chain, budget, &cost, &mut self.cpu)?;
-            return Ok(LifecycleOutcome {
-                demotion,
-                ..LifecycleOutcome::default()
-            });
-        }
-        let writeback =
-            writeback::writeback_coldest(cg, &mut self.zswap, budget, &cost, &mut self.cpu)?;
+        let deficit = cg
+            .soft_limit()
+            .get()
+            .saturating_sub(cg.stats.resident_pages)
+            .min(cg.stats.zswapped_pages);
+        let writeback = writeback::writeback(cg, &mut moves, deficit, VictimOrder::YoungestFirst)?;
         Ok(LifecycleOutcome {
             writeback,
             ..LifecycleOutcome::default()
@@ -921,34 +636,11 @@ impl Kernel {
         &mut self,
         policy: &StorePressure,
     ) -> Result<LifecycleOutcome, KernelError> {
-        let cost = self.config.cost;
+        let (memcgs, mut moves) = self.parts();
         let mut total = LifecycleOutcome::default();
-        let mut chain = self
-            .chain
-            .as_mut()
-            .filter(|c| c.device_below_compressed().is_some());
-        for cg in self.memcgs.values_mut() {
-            if cg.zswap_enabled() || cg.stats.zswapped_pages == 0 {
-                continue;
-            }
-            let budget = policy.decay_step(cg.stats.zswapped_pages);
-            if let Some(chain) = chain.as_deref_mut() {
-                total.demotion.merge(writeback::demote_coldest(
-                    cg,
-                    &mut self.zswap,
-                    chain,
-                    budget,
-                    &cost,
-                    &mut self.cpu,
-                )?);
-            } else {
-                total.writeback.merge(writeback::writeback_coldest(
-                    cg,
-                    &mut self.zswap,
-                    budget,
-                    &cost,
-                    &mut self.cpu,
-                )?);
+        for cg in memcgs.values_mut() {
+            if !cg.zswap_enabled() {
+                total.merge(writeback::decay_dead_store(cg, &mut moves, policy)?);
             }
         }
         Ok(total)
@@ -1378,7 +1070,7 @@ mod tests {
         k.set_zswap_enabled(job, false).unwrap();
         let policy = StorePressure::PAPER_DEFAULT;
         let o = k.store_lifecycle_tick(job, &policy).unwrap();
-        assert_eq!(o.writeback, WritebackOutcome::default());
+        assert_eq!(o.writeback, crate::WritebackOutcome::default());
         assert_eq!(o.demotion.demoted, policy.decay_step(100));
         let s = k.memcg(job).unwrap().stats();
         assert_eq!(s.resident_pages, 0, "demotion never re-residents pages");
@@ -1419,6 +1111,49 @@ mod tests {
         assert_eq!(k.chain().unwrap().device_resident_pages(), 0);
         let stats = k.chain_stats().unwrap();
         assert_eq!(stats[1].discards + stats[2].discards, 20);
+    }
+
+    /// Ten of `job`'s twenty compressed pages demoted (entries 0..10),
+    /// then the chain re-attached over them: the fresh tiers never stored
+    /// what the page table says they hold. `enable_chain`'s doc only asks
+    /// callers not to do this, so every entry point that reaches such a
+    /// page must fail typed, not panic.
+    fn chain_reattached_under_demoted_pages() -> (Kernel, JobId) {
+        let chain = [
+            BackendConfig::compressed_ram(),
+            BackendConfig::ssd(PageCount::new(4)),
+            BackendConfig::remote(),
+        ];
+        let (mut k, job) = compressed_job(20);
+        k.enable_chain(&chain);
+        assert_eq!(k.demote_job(job, 10).unwrap().demoted, 10);
+        k.enable_chain(&chain);
+        (k, job)
+    }
+
+    #[test]
+    fn reattached_chain_is_a_typed_error_from_touch_free_and_teardown() {
+        let corrupt = |r: Result<(), KernelError>| {
+            assert!(
+                matches!(r, Err(KernelError::StoreCorrupt { .. })),
+                "expected a store inconsistency, got {r:?}"
+            );
+        };
+        let (mut k, job) = chain_reattached_under_demoted_pages();
+        corrupt(k.touch(job, PageId::new(0), false).map(|_| ()));
+        // The ten compressed tail entries free; the first demoted one is
+        // refused and stays.
+        corrupt(k.free_pages(job, 11));
+        assert_eq!(k.memcg(job).unwrap().usage(), PageCount::new(10));
+        assert_eq!(k.zswap().resident_objects(), 0);
+
+        // Teardown walks past all ten bad entries and still releases the
+        // ten store slots behind them.
+        let (mut k, job) = chain_reattached_under_demoted_pages();
+        assert_eq!(k.zswap().resident_objects(), 10);
+        corrupt(k.remove_memcg(job).map(|_| ()));
+        assert_eq!(k.zswap().resident_objects(), 0);
+        assert!(matches!(k.memcg(job), Err(KernelError::NoSuchMemcg { .. })));
     }
 
     fn prefetch_kernel(capacity: u64, mode: crate::PrefetchMode) -> (Kernel, JobId) {

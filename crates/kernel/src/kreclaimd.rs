@@ -5,13 +5,13 @@
 //! threshold: resident, evictable, not freshly accessed, and not marked
 //! incompressible. Compression attempts that exceed the payload cutoff
 //! mark the page incompressible so the cycles are not wasted again until
-//! the page is dirtied (§5.1).
+//! the page is dirtied (§5.1). The walks here only pick victims; the
+//! moves themselves live in `moves.rs`.
 
-use crate::cost::{CostModel, CpuAccounting};
 use crate::error::KernelError;
 use crate::memcg::MemCgroup;
+use crate::moves::Moves;
 use crate::page::PageState;
-use crate::zswap::{StoreOutcome, ZswapStore};
 use sdfm_types::histogram::PageAge;
 
 /// Counters from one kreclaimd pass over one memcg.
@@ -27,8 +27,19 @@ pub struct ReclaimOutcome {
     pub huge_splits: u64,
 }
 
-/// Reclaims every eligible page at or above `threshold` in `cg` into
-/// `store`, charging compression costs to `cpu`.
+impl ReclaimOutcome {
+    /// Counts one compress-in attempt.
+    fn count(&mut self, stored: bool) {
+        if stored {
+            self.reclaimed += 1;
+        } else {
+            self.rejected += 1;
+        }
+    }
+}
+
+/// Reclaims every eligible page at or above `threshold` in `cg` into the
+/// store, charging compression costs to the ledger.
 ///
 /// A threshold of [`PageAge::HOT`] (zero) reclaims nothing: the control
 /// plane never classifies just-touched pages as cold.
@@ -38,12 +49,10 @@ pub struct ReclaimOutcome {
 /// [`KernelError::StoreCorrupt`] / [`KernelError::StaleHandle`] when the
 /// store's bookkeeping breaks mid-pass; pages reclaimed before the
 /// failure stay reclaimed.
-pub fn reclaim_memcg(
+pub(crate) fn reclaim_memcg(
     cg: &mut MemCgroup,
-    store: &mut ZswapStore,
+    moves: &mut Moves<'_>,
     threshold: PageAge,
-    cost: &CostModel,
-    cpu: &mut CpuAccounting,
 ) -> Result<ReclaimOutcome, KernelError> {
     let mut outcome = ReclaimOutcome::default();
     if !cg.zswap_enabled() || threshold == PageAge::HOT {
@@ -55,40 +64,60 @@ pub fn reclaim_memcg(
     let mut i = 0;
     while i < cg.pages.len() {
         outcome.examined += 1;
-        if !cg.pages.reclaim_eligible(i, threshold) {
-            i += 1;
-            continue;
+        if cg.pages.reclaim_eligible(i, threshold) {
+            // zswap works at base-page granularity: split first, then
+            // compress the (now base) page at `i`.
+            if cg.pages.split_huge(i) {
+                outcome.huge_splits += 1;
+            }
+            outcome.count(moves.compress_in(cg, i)?);
         }
-        // zswap works at base-page granularity: split first, then fall
-        // through to compress the (now base) page at `i`.
-        if cg.pages.split_huge(i) {
+        i += 1;
+    }
+    Ok(outcome)
+}
+
+/// The two-tier pass (§8) over `cg` with `dev` as the warm device tier:
+/// pages at age ≥ `t2` compress into zswap, pages at age ≥ `t1` (but
+/// younger than `t2`) park uncompressed on the device while it has room,
+/// and parked pages that aged past `t2` overflow into zswap, keeping the
+/// fixed device available for the warm end of the cold spectrum.
+///
+/// # Errors
+///
+/// As [`reclaim_memcg`].
+pub(crate) fn reclaim_memcg_tiered(
+    cg: &mut MemCgroup,
+    moves: &mut Moves<'_>,
+    dev: usize,
+    t1: PageAge,
+    t2: PageAge,
+) -> Result<ReclaimOutcome, KernelError> {
+    let mut outcome = ReclaimOutcome::default();
+    if !cg.zswap_enabled() || t1 == PageAge::HOT {
+        return Ok(outcome);
+    }
+    let mut stranded_this_pass = false;
+    let mut i = 0;
+    while i < cg.pages.len() {
+        outcome.examined += 1;
+        // Huge pages split before entering either tier (neither the zswap
+        // store nor the page-granular device takes a 2 MiB mapping whole).
+        if cg.pages.is_huge(i) && cg.pages.demote_eligible(i, t1) && cg.pages.split_huge(i) {
             outcome.huge_splits += 1;
         }
-        cg.stats.compressions += 1;
-        match store.store(cg.pages.content(i))? {
-            StoreOutcome::Stored(handle) => {
-                cpu.charge_compress(cost);
-                if cg.pages.prefetched(i) {
-                    // A prefetched page aging back out untouched resolves
-                    // as wasted (accuracy accounting).
-                    cg.pages.set_prefetched(i, false);
-                    cg.stats.prefetch_wasted += 1;
-                }
-                cg.pages.set_state(i, PageState::Zswapped(handle));
+        let parked_past_t2 =
+            cg.pages.state(i) == PageState::Demoted(dev as u8) && cg.pages.age(i) >= t2;
+        if parked_past_t2 || cg.pages.reclaim_eligible(i, t2) {
+            outcome.count(moves.compress_in(cg, i)?);
+        } else if cg.pages.demote_eligible(i, t1) {
+            if moves.park(cg, i, dev)? {
                 outcome.reclaimed += 1;
-                cg.stats.resident_pages -= 1;
-                cg.stats.zswapped_pages += 1;
-                cg.stats.zswapped_bytes +=
-                    store.stored_size(handle).ok_or(KernelError::StaleHandle)? as u64;
-            }
-            StoreOutcome::Rejected { .. } => {
-                // The cutoff rejected the page, but the attempt burned the
-                // same compression cycles — charged explicitly (§5.1).
-                cpu.charge_rejected_compress(cost);
-                cg.pages.set_incompressible(i, true);
-                cg.stats.incompressible_marked += 1;
-                cg.stats.rejections += 1;
-                outcome.rejected += 1;
+            } else if !stranded_this_pass {
+                // Demand exists but the fixed device is full: one
+                // stranding event per pass (§2.1's provisioning risk).
+                moves.tier(dev)?.record_stranding();
+                stranded_this_pass = true;
             }
         }
         i += 1;
@@ -99,8 +128,10 @@ pub fn reclaim_memcg(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::{CostModel, CpuAccounting};
     use crate::kstaled::scan_memcg;
     use crate::page::{Page, PageContent};
+    use crate::zswap::ZswapStore;
     use sdfm_compress::codec::CodecKind;
     use sdfm_types::ids::JobId;
     use sdfm_types::size::PageCount;
@@ -116,6 +147,15 @@ mod tests {
         (cg, ZswapStore::new(CodecKind::Lzo))
     }
 
+    fn reclaim(
+        cg: &mut MemCgroup,
+        store: &mut ZswapStore,
+        cpu: &mut CpuAccounting,
+        threshold: PageAge,
+    ) -> ReclaimOutcome {
+        reclaim_memcg(cg, &mut Moves::for_tests(store, None, cpu), threshold).unwrap()
+    }
+
     fn age_by_scans(cg: &mut MemCgroup, scans: usize) {
         for _ in 0..scans {
             scan_memcg(cg);
@@ -127,14 +167,7 @@ mod tests {
         let (mut cg, mut store) = setup(10, 600);
         age_by_scans(&mut cg, 4); // all pages at age 3
         let mut cpu = CpuAccounting::default();
-        let o = reclaim_memcg(
-            &mut cg,
-            &mut store,
-            PageAge::from_scans(3),
-            &CostModel::PAPER_DEFAULT,
-            &mut cpu,
-        )
-        .unwrap();
+        let o = reclaim(&mut cg, &mut store, &mut cpu, PageAge::from_scans(3));
         assert_eq!(o.reclaimed, 10);
         assert_eq!(o.rejected, 0);
         assert_eq!(cg.stats().zswapped_pages, 10);
@@ -152,14 +185,7 @@ mod tests {
         cg.pages.set_accessed(1, true);
         scan_memcg(&mut cg); // pages 0,1 at age 0; 2,3 at age 3
         let mut cpu = CpuAccounting::default();
-        let o = reclaim_memcg(
-            &mut cg,
-            &mut store,
-            PageAge::from_scans(2),
-            &CostModel::PAPER_DEFAULT,
-            &mut cpu,
-        )
-        .unwrap();
+        let o = reclaim(&mut cg, &mut store, &mut cpu, PageAge::from_scans(2));
         assert_eq!(o.reclaimed, 2);
         assert!(cg.pages.state(0) == PageState::Resident);
         assert!(cg.pages.is_zswapped(2));
@@ -171,14 +197,7 @@ mod tests {
         cg.set_zswap_enabled(false);
         age_by_scans(&mut cg, 10);
         let mut cpu = CpuAccounting::default();
-        let o = reclaim_memcg(
-            &mut cg,
-            &mut store,
-            PageAge::from_scans(1),
-            &CostModel::PAPER_DEFAULT,
-            &mut cpu,
-        )
-        .unwrap();
+        let o = reclaim(&mut cg, &mut store, &mut cpu, PageAge::from_scans(1));
         assert_eq!(o, ReclaimOutcome::default());
         assert_eq!(cpu.compress_events, 0);
     }
@@ -188,14 +207,7 @@ mod tests {
         let (mut cg, mut store) = setup(5, 600);
         age_by_scans(&mut cg, 10);
         let mut cpu = CpuAccounting::default();
-        let o = reclaim_memcg(
-            &mut cg,
-            &mut store,
-            PageAge::HOT,
-            &CostModel::PAPER_DEFAULT,
-            &mut cpu,
-        )
-        .unwrap();
+        let o = reclaim(&mut cg, &mut store, &mut cpu, PageAge::HOT);
         assert_eq!(o.reclaimed, 0);
     }
 
@@ -204,14 +216,7 @@ mod tests {
         let (mut cg, mut store) = setup(3, 3500); // above the cutoff
         age_by_scans(&mut cg, 4);
         let mut cpu = CpuAccounting::default();
-        let o = reclaim_memcg(
-            &mut cg,
-            &mut store,
-            PageAge::from_scans(2),
-            &CostModel::PAPER_DEFAULT,
-            &mut cpu,
-        )
-        .unwrap();
+        let o = reclaim(&mut cg, &mut store, &mut cpu, PageAge::from_scans(2));
         assert_eq!(o.rejected, 3);
         assert_eq!(cg.stats().rejections, 3);
         assert_eq!(cpu.compress_events, 3, "wasted cycles are still charged");
@@ -221,14 +226,7 @@ mod tests {
         );
         assert_eq!(cpu.compress_ns, 3 * CostModel::PAPER_DEFAULT.compress_ns);
         // Second pass: pages are marked, no new attempts.
-        let o2 = reclaim_memcg(
-            &mut cg,
-            &mut store,
-            PageAge::from_scans(2),
-            &CostModel::PAPER_DEFAULT,
-            &mut cpu,
-        )
-        .unwrap();
+        let o2 = reclaim(&mut cg, &mut store, &mut cpu, PageAge::from_scans(2));
         assert_eq!(o2.rejected, 0);
         assert_eq!(cpu.compress_events, 3);
     }
@@ -238,22 +236,8 @@ mod tests {
         let (mut cg, mut store) = setup(2, 600);
         age_by_scans(&mut cg, 4);
         let mut cpu = CpuAccounting::default();
-        reclaim_memcg(
-            &mut cg,
-            &mut store,
-            PageAge::from_scans(1),
-            &CostModel::PAPER_DEFAULT,
-            &mut cpu,
-        )
-        .unwrap();
-        let o = reclaim_memcg(
-            &mut cg,
-            &mut store,
-            PageAge::from_scans(1),
-            &CostModel::PAPER_DEFAULT,
-            &mut cpu,
-        )
-        .unwrap();
+        reclaim(&mut cg, &mut store, &mut cpu, PageAge::from_scans(1));
+        let o = reclaim(&mut cg, &mut store, &mut cpu, PageAge::from_scans(1));
         assert_eq!(o.reclaimed, 0);
         assert_eq!(store.resident_objects(), 2);
     }

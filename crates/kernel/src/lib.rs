@@ -19,7 +19,9 @@
 //!
 //! * a set of [`MemCgroup`]s (one per job) holding the job's pages;
 //! * one **global** [`ZswapStore`] (per-machine arena, §5.1);
-//! * the scan/reclaim machinery ([`kstaled`], [`kreclaimd`]);
+//! * the scan/reclaim machinery ([`kstaled`], [`kreclaimd`]), which only
+//!   picks victims — every Resident ↔ Zswapped ↔ Demoted move itself is
+//!   written once, in the private `moves` module;
 //! * CPU-cost accounting for compression work ([`cost::CpuAccounting`]).
 //!
 //! Workloads drive it with [`Kernel::touch`] (page accesses) and the
@@ -50,6 +52,7 @@ mod kernel;
 pub mod kreclaimd;
 pub mod kstaled;
 pub mod memcg;
+mod moves;
 pub mod page;
 pub mod page_table;
 pub mod prefetch;
@@ -58,7 +61,7 @@ pub mod writeback;
 pub mod zswap;
 
 pub use backend::{
-    BackendConfig, BackendKind, BackendStats, ChainPolicy, DemotionChain, FarBackend, MAX_TIERS,
+    BackendConfig, BackendKind, BackendStats, ChainPolicy, DemotionChain, MAX_TIERS,
 };
 pub use cost::{CostModel, CostSource, CpuAccounting};
 pub use error::KernelError;
@@ -72,7 +75,6 @@ pub use prefetch::{
 };
 pub use thermostat::{ThermostatEstimate, ThermostatSampler};
 pub use writeback::{
-    DemotionOutcome, HostPressureOutcome, LifecycleOutcome, StorePressure, StorePressureSource,
-    WritebackOutcome,
+    DemotionOutcome, HostPressureOutcome, LifecycleOutcome, StorePressure, WritebackOutcome,
 };
 pub use zswap::{StoreOutcome, ZswapStats, ZswapStore};

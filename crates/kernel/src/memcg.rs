@@ -182,14 +182,6 @@ impl MemCgroup {
     pub fn working_set(&self, min_threshold: PageAge) -> PageCount {
         PageCount::new(self.cold_hist.pages_younger_than(min_threshold))
     }
-
-    /// Splits the huge page at `idx` into base pages: the entry keeps its
-    /// id as the first frame; the remaining frames append at the end with
-    /// the same age and flags (the kernel's split-before-swap path).
-    /// Returns `false` if the entry is not huge.
-    pub(crate) fn split_huge_page(&mut self, idx: usize) -> bool {
-        self.pages.split_huge(idx)
-    }
 }
 
 #[cfg(test)]

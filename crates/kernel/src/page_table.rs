@@ -214,11 +214,6 @@ impl PageTable {
         &self.cold[idx].content
     }
 
-    /// Iterates every entry's state (teardown paths discarding handles).
-    pub fn states(&self) -> impl Iterator<Item = PageState> + '_ {
-        self.cold.iter().map(|e| e.state)
-    }
-
     /// The accessed bit.
     pub fn accessed(&self, idx: usize) -> bool {
         self.flags[idx] & ACCESSED != 0

@@ -6,9 +6,10 @@
 //! agent raises a soft limit the protected working set must come back to
 //! DRAM, and under host-side memory pressure the kernel writes back LRU
 //! compressed objects and compacts the arena. [`StorePressure`] is the
-//! policy for all three sources; the writeback walkers here apply it by
-//! decompressing-and-dropping handles, with every decompression charged
-//! through [`CostModel`] so CPU accounting stays honest.
+//! policy for all three sources; the walkers here apply it by picking
+//! victims in `(age, index)` order and handing each to the one fault-in
+//! (writeback) or sink (demotion) in `moves.rs`, where every
+//! decompression is charged so CPU accounting stays honest.
 //!
 //! # Determinism contract
 //!
@@ -23,29 +24,12 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::backend::DemotionChain;
-use crate::cost::{CostModel, CpuAccounting};
-use sdfm_types::arith::permille_of;
 use crate::error::KernelError;
 use crate::memcg::MemCgroup;
-use crate::page::PageState;
-use crate::zswap::ZswapStore;
+use crate::moves::{FaultIn, Moves};
+use sdfm_types::arith::permille_of;
 use sdfm_types::histogram::PageAge;
 use sdfm_types::size::PageCount;
-
-/// Why the store is being shrunk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum StorePressureSource {
-    /// The job's zswap was disabled: its compressed pages are dead handles
-    /// that decay back to DRAM at the policy rate.
-    ZswapDisabled,
-    /// The job's soft limit rose above its resident pages: part of the
-    /// protected working set is sitting compressed and must come back.
-    SoftLimitBreach,
-    /// The machine overcommitted: the kernel drops dead handles and
-    /// compacts the arena before the cluster starts killing jobs.
-    HostPressure,
-}
 
 /// The store-lifecycle policy: how fast a dead store decays.
 ///
@@ -186,11 +170,11 @@ pub struct HostPressureOutcome {
     pub compacted: PageCount,
 }
 
-/// Victim order for a writeback pass.
+/// Victim order for a pass over the store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum VictimOrder {
-    /// Oldest (LRU) compressed pages first — store decay and host
-    /// pressure, where the coldest objects are the deadest.
+pub(crate) enum VictimOrder {
+    /// Oldest (LRU) compressed pages first — store decay, demotion and
+    /// host pressure, where the coldest objects are the deadest.
     OldestFirst,
     /// Youngest compressed pages first — soft-limit restoration, where the
     /// most recently compressed pages are the likeliest working-set
@@ -198,166 +182,115 @@ enum VictimOrder {
     YoungestFirst,
 }
 
-/// Writes back the oldest (LRU) compressed pages of `cg`, up to `budget`
-/// pages: each victim is decompressed (charged to `cpu`), its handle
-/// freed, and the page made resident again with its age intact — so a
-/// later re-enable recompresses exactly the decayed mass.
-///
-/// # Errors
-///
-/// [`KernelError::StaleHandle`] / [`KernelError::StoreCorrupt`] when the
-/// store and the page tables disagree; the pass stops at the first
-/// inconsistency.
-pub fn writeback_coldest(
-    cg: &mut MemCgroup,
-    store: &mut ZswapStore,
-    budget: u64,
-    cost: &CostModel,
-    cpu: &mut CpuAccounting,
-) -> Result<WritebackOutcome, KernelError> {
-    writeback_pass(cg, store, budget, VictimOrder::OldestFirst, false, cost, cpu)
-}
-
-/// Writes back the youngest compressed pages of `cg` (up to `budget`),
-/// resetting their age to hot: they are presumed members of the protected
-/// working set the soft limit covers, so they must not be re-reclaimed on
-/// the next kreclaimd pass.
-///
-/// # Errors
-///
-/// As [`writeback_coldest`].
-pub fn writeback_youngest(
-    cg: &mut MemCgroup,
-    store: &mut ZswapStore,
-    budget: u64,
-    cost: &CostModel,
-    cpu: &mut CpuAccounting,
-) -> Result<WritebackOutcome, KernelError> {
-    writeback_pass(cg, store, budget, VictimOrder::YoungestFirst, true, cost, cpu)
-}
-
-/// Demotes the oldest (LRU) compressed pages of `cg` down the chain, up
-/// to `budget` pages: each victim is decompressed out of the store
-/// (charged to `cpu` like a writeback), then stored into the first device
-/// tier below the chain's compressed-RAM tier, overflowing past full
-/// tiers (each full tier counts a `full_rejections`; the backend's per-op
-/// cost is charged to `cpu` as tier I/O). When every tier below is full
-/// the victim stays compressed and the pass stops.
-///
-/// A no-op (all counters zero) when the chain has no tier below
-/// compressed RAM — the two-tier configuration decays by plain writeback
-/// instead.
-///
-/// # Errors
-///
-/// [`KernelError::StaleHandle`] / [`KernelError::StoreCorrupt`] when the
-/// store and the page tables disagree; the pass stops at the first
-/// inconsistency.
-pub fn demote_coldest(
-    cg: &mut MemCgroup,
-    store: &mut ZswapStore,
-    chain: &mut DemotionChain,
-    budget: u64,
-    cost: &CostModel,
-    cpu: &mut CpuAccounting,
-) -> Result<DemotionOutcome, KernelError> {
-    let mut outcome = DemotionOutcome::default();
-    let Some(start) = chain.device_below_compressed() else {
-        return Ok(outcome);
-    };
-    if budget == 0 {
-        return Ok(outcome);
-    }
+/// Every compressed page of `cg`, in victim order. Deterministic:
+/// `(age, index)` is pure simulation state.
+fn store_victims(cg: &MemCgroup, order: VictimOrder) -> Vec<(PageAge, usize)> {
     let mut victims: Vec<(PageAge, usize)> = (0..cg.pages.len())
         .filter(|&i| cg.pages.is_zswapped(i))
         .map(|i| (cg.pages.age(i), i))
         .collect();
-    outcome.examined = victims.len() as u64;
-    victims.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    for (_, idx) in victims.into_iter().take(budget as usize) {
-        let PageState::Zswapped(handle) = cg.pages.state(idx) else {
-            return Err(KernelError::StoreCorrupt {
-                detail: "demotion victim left the store mid-pass",
-            });
-        };
-        // Capacity check before touching the store, so a full ladder
-        // leaves the page compressed rather than orphaned.
-        if chain.accepting_device_from(start).is_none() {
-            // One store attempt records the stranding on every full tier.
-            chain.store_with_overflow(start);
-            outcome.rejected += 1;
-            break;
-        }
-        let size = store.stored_size(handle).ok_or(KernelError::StaleHandle)? as u64;
-        // Moving a page out of zswap decompresses it (real writeback
-        // decompresses before handing the page to the device).
-        store.load(handle)?;
-        cpu.charge_decompress(cost);
-        let Some((tier, op_ns)) = chain.store_with_overflow(start) else {
-            return Err(KernelError::StoreCorrupt {
-                detail: "accepting tier filled mid-pass",
-            });
-        };
-        cpu.charge_tier_io(op_ns);
-        cg.pages.set_state(idx, PageState::Demoted(tier as u8));
-        cg.stats.zswapped_pages -= 1;
-        cg.stats.zswapped_bytes -= size;
-        cg.stats.demoted_pages[tier] += 1;
-        cg.stats.demotions += 1;
-        outcome.demoted += 1;
-        outcome.bytes_freed += size;
-    }
-    Ok(outcome)
-}
-
-fn writeback_pass(
-    cg: &mut MemCgroup,
-    store: &mut ZswapStore,
-    budget: u64,
-    order: VictimOrder,
-    restore_hot: bool,
-    cost: &CostModel,
-    cpu: &mut CpuAccounting,
-) -> Result<WritebackOutcome, KernelError> {
-    let mut outcome = WritebackOutcome::default();
-    if budget == 0 {
-        return Ok(outcome);
-    }
-    // Deterministic victim list: (age, index) is pure simulation state.
-    let mut victims: Vec<(PageAge, usize)> = (0..cg.pages.len())
-        .filter(|&i| cg.pages.is_zswapped(i))
-        .map(|i| (cg.pages.age(i), i))
-        .collect();
-    outcome.examined = victims.len() as u64;
     match order {
         VictimOrder::OldestFirst => {
             victims.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)))
         }
         VictimOrder::YoungestFirst => victims.sort_unstable(),
     }
+    victims
+}
+
+/// Writes back up to `budget` compressed pages of `cg` in `order`: each
+/// victim is decompressed (charged to the ledger), its handle freed, and
+/// the page made resident again. Oldest-first victims keep their age — so
+/// a later re-enable recompresses exactly the decayed mass; youngest-first
+/// victims come back hot — they are presumed members of the protected
+/// working set the soft limit covers, so they must not be re-reclaimed on
+/// the next kreclaimd pass.
+///
+/// # Errors
+///
+/// [`KernelError::StaleHandle`] / [`KernelError::StoreCorrupt`] when the
+/// store and the page tables disagree; the pass stops at the first
+/// inconsistency.
+pub(crate) fn writeback(
+    cg: &mut MemCgroup,
+    moves: &mut Moves<'_>,
+    budget: u64,
+    order: VictimOrder,
+) -> Result<WritebackOutcome, KernelError> {
+    let mut outcome = WritebackOutcome::default();
+    if budget == 0 {
+        return Ok(outcome);
+    }
+    let victims = store_victims(cg, order);
+    outcome.examined = victims.len() as u64;
     for (_, idx) in victims.into_iter().take(budget as usize) {
-        let PageState::Zswapped(handle) = cg.pages.state(idx) else {
-            return Err(KernelError::StoreCorrupt {
-                detail: "victim left the store mid-pass",
-            });
-        };
-        let size = store.stored_size(handle).ok_or(KernelError::StaleHandle)? as u64;
-        // Decompress-and-drop: the load frees the slot; real contents are
-        // already mirrored in the page, synthetic ones have none.
-        store.load(handle)?;
-        cpu.charge_decompress(cost);
-        cg.pages.set_state(idx, PageState::Resident);
-        if restore_hot {
+        outcome.bytes_freed += moves.fault_in(cg, idx, FaultIn::Writeback)?;
+        outcome.written_back += 1;
+        if order == VictimOrder::YoungestFirst {
             // Through set_age, not a raw array write: the page table's
             // live histogram must see the move to HOT.
             cg.pages.set_age(idx, PageAge::HOT);
         }
-        cg.stats.zswapped_pages -= 1;
-        cg.stats.zswapped_bytes -= size;
-        cg.stats.resident_pages += 1;
-        cg.stats.writebacks += 1;
-        outcome.written_back += 1;
+    }
+    Ok(outcome)
+}
+
+/// Demotes the oldest (LRU) compressed pages of `cg` down the chain, up
+/// to `budget` pages, each sinking to the first device tier below the
+/// chain's compressed-RAM tier with room. When every tier below is full
+/// the victim stays compressed and the pass stops.
+///
+/// A no-op (all counters zero) without a chain, or when the chain has no
+/// tier below compressed RAM — the two-tier configuration decays by plain
+/// writeback instead.
+///
+/// # Errors
+///
+/// As [`writeback`].
+pub(crate) fn demote_coldest(
+    cg: &mut MemCgroup,
+    moves: &mut Moves<'_>,
+    budget: u64,
+) -> Result<DemotionOutcome, KernelError> {
+    let mut outcome = DemotionOutcome::default();
+    let Some(start) = moves.below_store() else {
+        return Ok(outcome);
+    };
+    if budget == 0 {
+        return Ok(outcome);
+    }
+    let victims = store_victims(cg, VictimOrder::OldestFirst);
+    outcome.examined = victims.len() as u64;
+    for (_, idx) in victims.into_iter().take(budget as usize) {
+        let Some(size) = moves.sink(cg, idx, start)? else {
+            outcome.rejected += 1;
+            break;
+        };
+        outcome.demoted += 1;
         outcome.bytes_freed += size;
+    }
+    Ok(outcome)
+}
+
+/// One window of decay for a disabled memcg's dead store: `policy`'s step
+/// of its coldest compressed pages sinks down the chain when a tier sits
+/// below the store, and is written back to DRAM otherwise (LRU order,
+/// ages kept either way).
+///
+/// # Errors
+///
+/// As [`writeback`].
+pub(crate) fn decay_dead_store(
+    cg: &mut MemCgroup,
+    moves: &mut Moves<'_>,
+    policy: &StorePressure,
+) -> Result<LifecycleOutcome, KernelError> {
+    let budget = policy.decay_step(cg.stats.zswapped_pages);
+    let mut outcome = LifecycleOutcome::default();
+    if moves.below_store().is_some() {
+        outcome.demotion = demote_coldest(cg, moves, budget)?;
+    } else {
+        outcome.writeback = writeback(cg, moves, budget, VictimOrder::OldestFirst)?;
     }
     Ok(outcome)
 }
@@ -365,9 +298,12 @@ fn writeback_pass(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kstaled::scan_memcg;
+    use crate::backend::{BackendConfig, DemotionChain};
+    use crate::cost::CpuAccounting;
     use crate::kreclaimd::reclaim_memcg;
-    use crate::page::{Page, PageContent};
+    use crate::kstaled::scan_memcg;
+    use crate::page::{Page, PageContent, PageState};
+    use crate::zswap::ZswapStore;
     use sdfm_compress::codec::CodecKind;
     use sdfm_types::ids::JobId;
 
@@ -386,10 +322,8 @@ mod tests {
         }
         reclaim_memcg(
             &mut cg,
-            &mut store,
+            &mut Moves::for_tests(&mut store, None, &mut cpu),
             PageAge::from_scans(2),
-            &CostModel::PAPER_DEFAULT,
-            &mut cpu,
         )
         .unwrap();
         assert_eq!(cg.stats().zswapped_pages, n as u64);
@@ -440,12 +374,11 @@ mod tests {
         let (mut cg, mut store, mut cpu) = compressed_memcg(10);
         // Ages currently uniform; make page 3 the coldest.
         cg.pages.set_age(3, PageAge::from_scans(50));
-        let o = writeback_coldest(
+        let o = writeback(
             &mut cg,
-            &mut store,
+            &mut Moves::for_tests(&mut store, None, &mut cpu),
             1,
-            &CostModel::PAPER_DEFAULT,
-            &mut cpu,
+            VictimOrder::OldestFirst,
         )
         .unwrap();
         assert_eq!(o.written_back, 1);
@@ -465,12 +398,11 @@ mod tests {
     fn youngest_first_writeback_restores_working_set_hot() {
         let (mut cg, mut store, mut cpu) = compressed_memcg(6);
         cg.pages.set_age(2, PageAge::from_scans(1)); // the youngest
-        let o = writeback_youngest(
+        let o = writeback(
             &mut cg,
-            &mut store,
+            &mut Moves::for_tests(&mut store, None, &mut cpu),
             1,
-            &CostModel::PAPER_DEFAULT,
-            &mut cpu,
+            VictimOrder::YoungestFirst,
         )
         .unwrap();
         assert_eq!(o.written_back, 1);
@@ -485,12 +417,11 @@ mod tests {
     #[test]
     fn budget_zero_is_a_no_op() {
         let (mut cg, mut store, mut cpu) = compressed_memcg(4);
-        let o = writeback_coldest(
+        let o = writeback(
             &mut cg,
-            &mut store,
+            &mut Moves::for_tests(&mut store, None, &mut cpu),
             0,
-            &CostModel::PAPER_DEFAULT,
-            &mut cpu,
+            VictimOrder::OldestFirst,
         )
         .unwrap();
         assert_eq!(o, WritebackOutcome::default());
@@ -500,12 +431,11 @@ mod tests {
     #[test]
     fn over_budget_drains_everything_once() {
         let (mut cg, mut store, mut cpu) = compressed_memcg(5);
-        let o = writeback_coldest(
+        let o = writeback(
             &mut cg,
-            &mut store,
+            &mut Moves::for_tests(&mut store, None, &mut cpu),
             1_000,
-            &CostModel::PAPER_DEFAULT,
-            &mut cpu,
+            VictimOrder::OldestFirst,
         )
         .unwrap();
         assert_eq!(o.written_back, 5);
@@ -516,7 +446,6 @@ mod tests {
 
     #[test]
     fn demotion_moves_lru_victims_down_the_chain() {
-        use crate::backend::BackendConfig;
         let (mut cg, mut store, mut cpu) = compressed_memcg(10);
         let mut chain = DemotionChain::from_configs(&[
             BackendConfig::compressed_ram(),
@@ -525,11 +454,8 @@ mod tests {
         ]);
         let o = demote_coldest(
             &mut cg,
-            &mut store,
-            &mut chain,
+            &mut Moves::for_tests(&mut store, Some(&mut chain), &mut cpu),
             5,
-            &CostModel::PAPER_DEFAULT,
-            &mut cpu,
         )
         .unwrap();
         assert_eq!(o.demoted, 5);
@@ -552,7 +478,6 @@ mod tests {
 
     #[test]
     fn full_ladder_leaves_victims_compressed_and_counts_rejection() {
-        use crate::backend::BackendConfig;
         let (mut cg, mut store, mut cpu) = compressed_memcg(4);
         let mut chain = DemotionChain::from_configs(&[
             BackendConfig::compressed_ram(),
@@ -560,11 +485,8 @@ mod tests {
         ]);
         let o = demote_coldest(
             &mut cg,
-            &mut store,
-            &mut chain,
+            &mut Moves::for_tests(&mut store, Some(&mut chain), &mut cpu),
             3,
-            &CostModel::PAPER_DEFAULT,
-            &mut cpu,
         )
         .unwrap();
         assert_eq!(o.demoted, 1);
@@ -576,7 +498,6 @@ mod tests {
 
     #[test]
     fn demotion_is_a_noop_without_a_tier_below_compressed() {
-        use crate::backend::BackendConfig;
         let (mut cg, mut store, mut cpu) = compressed_memcg(4);
         let mut chain = DemotionChain::from_configs(&[
             BackendConfig::ssd(PageCount::new(8)),
@@ -584,11 +505,8 @@ mod tests {
         ]);
         let o = demote_coldest(
             &mut cg,
-            &mut store,
-            &mut chain,
+            &mut Moves::for_tests(&mut store, Some(&mut chain), &mut cpu),
             10,
-            &CostModel::PAPER_DEFAULT,
-            &mut cpu,
         )
         .unwrap();
         assert_eq!(o, DemotionOutcome::default());
