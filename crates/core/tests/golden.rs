@@ -2,7 +2,8 @@
 //! the trace replay, and the figure generators, so a refactor of the
 //! window recurrence they share is provably behaviour-preserving.
 //!
-//! Every constant was recorded at the commit that introduced this file.
+//! Every constant was recorded at the commit that introduced it, on the
+//! tree that commit's parent left untouched.
 //! A mismatch means simulation output changed: that is either a bug or a
 //! deliberate model change that must re-record the pin in its own commit.
 
@@ -16,6 +17,7 @@ use sdfm_core::experiments::{collect_fleet_traces, Scale};
 use sdfm_core::{FleetSim, FleetSimConfig};
 use sdfm_kernel::{ChainPolicy, PrefetchMode, PrefetchPolicy};
 use sdfm_model::{replay_job, FarMemoryModel, ModelConfig};
+use sdfm_types::time::SimDuration;
 
 /// FNV-1a, 64-bit.
 fn fnv1a64(hash: u64, bytes: &[u8]) -> u64 {
@@ -133,6 +135,47 @@ fn replay_policy_cells_are_pinned() {
         debug_hash(&model.evaluate(&base)),
         0x935b_a9a5_cfa0_aa96,
     );
+}
+
+/// Traces longer than `JobController::POOL_CAP` (36 windows), so the
+/// threshold pool slides: the oldest best-thresholds leave it while the
+/// K-th percentile sits mid-pool (K = 90 → rank 33 of 36), not at its max.
+#[test]
+fn replay_past_the_pool_cap_is_pinned() {
+    let scale = Scale {
+        machines_per_cluster: 1,
+        ..Scale::small()
+    };
+    let traces = collect_fleet_traces(&scale, 48);
+    let params = AgentParams::new(90.0, SimDuration::from_mins(20)).expect("valid params");
+    let base = ModelConfig::new(params);
+    let expected = [
+        0xe362_ca18_78ce_406au64,
+        0x203e_6a46_9594_5b08,
+        0x8251_9b1c_da57_c9e4,
+        0x84d2_92e1_8f66_7152,
+    ];
+    for ((name, chain, prefetch), want) in policy_cells().into_iter().zip(expected) {
+        let config = ModelConfig {
+            chain,
+            prefetch,
+            ..base
+        };
+        let outcomes: Vec<_> = traces.iter().map(|t| replay_job(t, &config)).collect();
+        pin(
+            &format!("48-window replay cell `{name}`"),
+            debug_hash(&outcomes),
+            want,
+        );
+    }
+    for threads in [1, 3] {
+        let model = FarMemoryModel::new(traces.clone()).with_threads(threads);
+        pin(
+            &format!("48-window FarMemoryModel::evaluate, {threads} thread(s)"),
+            debug_hash(&model.evaluate(&base)),
+            0x74f3_f84e_b2bf_04f0,
+        );
+    }
 }
 
 #[test]
