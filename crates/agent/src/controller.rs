@@ -3,7 +3,8 @@
 use serde::{Deserialize, Serialize};
 
 use crate::params::{AgentParams, SloConfig};
-use sdfm_types::histogram::{ColdAgeHistogram, PageAge, PromotionHistogram, MAX_AGE_SCANS};
+use crate::pool::ThresholdPool;
+use sdfm_types::histogram::{ColdAgeHistogram, PageAge, PromotionHistogram, AGE_BUCKETS};
 use sdfm_types::rate::{NormalizedPromotionRate, PromotionRate};
 use sdfm_types::size::PageCount;
 use sdfm_types::time::{SimDuration, SimTime};
@@ -35,12 +36,48 @@ pub struct ControlDecision {
 /// would-be promotion count for each candidate threshold (§4.3's insight:
 /// one histogram answers the question for *every* threshold at once).
 ///
-/// Returns the smallest satisfying threshold, searching from
-/// `slo.min_threshold` up; if even the maximum age violates the budget,
-/// returns [`PageAge::MAX`] (the least aggressive choice).
+/// Builds that delta suffix table and answers through
+/// [`best_threshold_for_suffix_table`], which see for the result.
 pub fn best_threshold_for_window(
     promo_now: &PromotionHistogram,
     promo_prev: &PromotionHistogram,
+    working_set: PageCount,
+    window: SimDuration,
+    slo: &SloConfig,
+) -> PageAge {
+    let mut delta_suffix = [0u64; AGE_BUCKETS];
+    for (((_, now), (_, prev)), slot) in promo_now
+        .iter()
+        .zip(promo_prev.iter())
+        .zip(delta_suffix.iter_mut())
+    {
+        debug_assert!(now >= prev, "cumulative histogram went backwards");
+        *slot = now - prev;
+    }
+    let mut suffix = 0u64;
+    for slot in delta_suffix.iter_mut().rev() {
+        suffix += *slot;
+        *slot = suffix;
+    }
+    best_threshold_for_suffix_table(&delta_suffix, working_set, window, slo)
+}
+
+/// [`best_threshold_for_window`] over a window's promotion suffix table:
+/// `promo_suffix[T]` is the would-be promotion count at threshold `T`
+/// scans (non-increasing in `T`, as
+/// [`AgeSuffixSums::as_slice`](sdfm_types::histogram::AgeSuffixSums::as_slice)
+/// gives it; ages past the table's end count as zero promotions).
+///
+/// Returns the smallest satisfying threshold at or above
+/// `slo.min_threshold`; if even the maximum age violates the budget,
+/// returns [`PageAge::MAX`] (the least aggressive choice). A zero-length
+/// window has no rate to bound and yields `slo.min_threshold`.
+///
+/// This is the one place the SLO budget is tested: the live controller
+/// reaches it through [`best_threshold_for_window`], the offline replay
+/// calls it on its prepared tables.
+pub fn best_threshold_for_suffix_table(
+    promo_suffix: &[u64],
     working_set: PageCount,
     window: SimDuration,
     slo: &SloConfig,
@@ -51,32 +88,14 @@ pub fn best_threshold_for_window(
     if window_mins <= 0.0 {
         return slo.min_threshold;
     }
-    // One backward pass builds the suffix counts for every threshold at
-    // once (the histograms' whole point, §4.3); then take the smallest
-    // satisfying threshold.
-    let mut delta = [0u64; 256];
-    for (((age, now), (_, prev)), slot) in promo_now
-        .iter()
-        .zip(promo_prev.iter())
-        .zip(delta.iter_mut())
-    {
-        debug_assert!(now >= prev, "cumulative histogram went backwards");
-        let _ = age;
-        *slot = now - prev;
-    }
-    let mut suffix = 0u64;
-    let mut best = PageAge::MAX;
-    for scans in (slo.min_threshold.as_scans()..=MAX_AGE_SCANS).rev() {
-        suffix += delta[scans as usize];
-        if suffix as f64 / window_mins <= budget {
-            best = PageAge::from_scans(scans);
-        } else {
-            // Suffix counts only grow as the threshold drops: every lower
-            // threshold violates too.
-            break;
-        }
-    }
-    best
+    let min_scans = usize::from(slo.min_threshold.as_scans());
+    // Suffix counts only grow as the threshold drops, so the violating
+    // thresholds are a prefix of the candidates.
+    let violating = promo_suffix
+        .get(min_scans..)
+        .unwrap_or(&[])
+        .partition_point(|&suffix| suffix as f64 / window_mins > budget);
+    u8::try_from(min_scans + violating).map_or(PageAge::MAX, PageAge::from_scans)
 }
 
 /// The per-job control state: threshold history pool, previous histogram
@@ -87,7 +106,7 @@ pub struct JobController {
     slo: SloConfig,
     started_at: SimTime,
     last_tick: SimTime,
-    pool: Vec<PageAge>,
+    pool: ThresholdPool,
     prev_promo: PromotionHistogram,
 }
 
@@ -99,16 +118,9 @@ const _: () = {
 };
 
 impl JobController {
-    /// Maximum control periods of best-threshold history retained.
-    ///
-    /// The pool is a *sliding* window, not the job's whole life: an
-    /// unbounded pool makes the K-th percentile ratchet ever more
-    /// conservative (a single early spike stays in the top percentiles
-    /// forever), so steady-state coverage would decay with job age and the
-    /// controller could never adapt to behavior changes. Three hours of
-    /// 5-minute periods keeps enough samples for percentile resolution at
-    /// production K values while aging spikes out.
-    pub const POOL_CAP: usize = 36;
+    /// Maximum control periods of best-threshold history retained: the
+    /// pool slides (see [`ThresholdPool::CAP`] for why it must).
+    pub const POOL_CAP: usize = ThresholdPool::CAP;
 
     /// Creates a controller for a job that started at `started_at`.
     pub fn new(params: AgentParams, slo: SloConfig, started_at: SimTime) -> Self {
@@ -117,7 +129,7 @@ impl JobController {
             slo,
             started_at,
             last_tick: started_at,
-            pool: Vec::new(),
+            pool: ThresholdPool::new(),
             prev_promo: PromotionHistogram::new(),
         }
     }
@@ -175,12 +187,12 @@ impl JobController {
             PromotionRate::from_count(observed_count, window).normalized(working_set);
         self.prev_promo = promo_cumulative.clone();
         self.pool.push(best);
-        if self.pool.len() > Self::POOL_CAP {
-            let excess = self.pool.len() - Self::POOL_CAP;
-            self.pool.drain(..excess);
-        }
 
-        let pool_percentile = self.pool_kth_percentile();
+        // `best` was just pushed, so the pool is never empty here.
+        let pool_percentile = self
+            .pool
+            .kth_percentile(self.params.k_percentile)
+            .unwrap_or(PageAge::MAX);
         // Spike reaction: never undercut what the last window needed.
         let threshold = pool_percentile.max(best);
         let warmed_up = now.saturating_duration_since(self.started_at) >= self.params.s_warmup;
@@ -193,19 +205,6 @@ impl JobController {
             working_set,
             observed_rate,
         }
-    }
-
-    /// The K-th percentile of the best-threshold pool (nearest-rank,
-    /// rounding up — conservative).
-    fn pool_kth_percentile(&self) -> PageAge {
-        if self.pool.is_empty() {
-            return PageAge::MAX;
-        }
-        let mut sorted = self.pool.clone();
-        sorted.sort_unstable();
-        let n = sorted.len();
-        let rank = ((self.params.k_percentile / 100.0) * n as f64).ceil() as usize;
-        sorted[rank.clamp(1, n) - 1]
     }
 }
 
@@ -368,12 +367,6 @@ mod tests {
         let d = ctl.on_minute(SimTime::ZERO + MINUTE * 2, &wss, &cum);
         // 2 promotions / min over 1000 pages = 0.2%/min.
         assert!((d.observed_rate.percent_per_min() - 0.2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_pool_yields_max_age() {
-        let ctl = JobController::new(AgentParams::default(), slo(), SimTime::ZERO);
-        assert_eq!(ctl.pool_kth_percentile(), PageAge::MAX);
     }
 
     #[test]

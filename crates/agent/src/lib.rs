@@ -39,8 +39,12 @@ mod controller;
 mod exporter;
 mod node_agent;
 mod params;
+mod pool;
 
-pub use controller::{best_threshold_for_window, ControlDecision, JobController};
+pub use controller::{
+    best_threshold_for_suffix_table, best_threshold_for_window, ControlDecision, JobController,
+};
 pub use exporter::{TraceExporter, TraceRecord, EXPORT_PERIOD};
 pub use node_agent::NodeAgent;
 pub use params::{AgentParams, SloConfig};
+pub use pool::ThresholdPool;

@@ -1,8 +1,12 @@
 //! Property tests for the threshold controller's invariants.
 
 use proptest::prelude::*;
-use sdfm_agent::{best_threshold_for_window, AgentParams, JobController, SloConfig};
-use sdfm_types::histogram::{ColdAgeHistogram, PageAge, PromotionHistogram};
+use sdfm_agent::{
+    best_threshold_for_suffix_table, best_threshold_for_window, AgentParams, JobController,
+    SloConfig,
+};
+use sdfm_types::histogram::{ColdAgeHistogram, PageAge, PromotionHistogram, MAX_AGE_SCANS};
+use sdfm_types::rate::NormalizedPromotionRate;
 use sdfm_types::size::PageCount;
 use sdfm_types::time::{SimDuration, SimTime, MINUTE};
 
@@ -14,7 +18,71 @@ fn promo_hist(entries: &[(u8, u64)]) -> PromotionHistogram {
     h
 }
 
+/// The linear scan `best_threshold_for_window` ran before the budget test
+/// moved behind the suffix-table form: walk down from the maximum age,
+/// accumulating the window's delta, until the budget breaks.
+fn linear_scan_best_threshold(
+    promo_now: &PromotionHistogram,
+    promo_prev: &PromotionHistogram,
+    working_set: PageCount,
+    window: SimDuration,
+    slo: &SloConfig,
+) -> PageAge {
+    let budget = slo.target.fraction_per_min() * working_set.get() as f64;
+    let window_mins = window.as_mins_f64();
+    if window_mins <= 0.0 {
+        return slo.min_threshold;
+    }
+    let delta: Vec<u64> = promo_now
+        .iter()
+        .zip(promo_prev.iter())
+        .map(|((_, now), (_, prev))| now - prev)
+        .collect();
+    let mut suffix = 0u64;
+    let mut best = PageAge::MAX;
+    for scans in (slo.min_threshold.as_scans()..=MAX_AGE_SCANS).rev() {
+        suffix += delta[scans as usize];
+        if suffix as f64 / window_mins <= budget {
+            best = PageAge::from_scans(scans);
+        } else {
+            break;
+        }
+    }
+    best
+}
+
 proptest! {
+    /// Both entry points agree with the linear scan they replaced — under
+    /// any SLO, a nonzero previous snapshot, a zero working set and a
+    /// zero-length window — and the table form reads a prepared suffix
+    /// table exactly as the live form reads the histograms behind it.
+    #[test]
+    fn both_forms_match_the_linear_scan(
+        prev_entries in prop::collection::vec((0u8..=255, 0u64..300), 0..12),
+        delta_entries in prop::collection::vec((0u8..=255, 0u64..500), 0..40),
+        wss in 0u64..100_000,
+        window_secs in prop_oneof![Just(0u64), 1u64..900],
+        min_scans in 0u8..=255,
+        target_percent in 0.0f64..1.0,
+    ) {
+        let prev = promo_hist(&prev_entries);
+        let delta = promo_hist(&delta_entries);
+        let mut now = prev.clone();
+        now.merge(&delta);
+        let slo = SloConfig {
+            target: NormalizedPromotionRate::from_percent_per_min(target_percent),
+            min_threshold: PageAge::from_scans(min_scans),
+        };
+        let (wss, window) = (PageCount::new(wss), SimDuration::from_secs(window_secs));
+        let want = linear_scan_best_threshold(&now, &prev, wss, window, &slo);
+        prop_assert_eq!(best_threshold_for_window(&now, &prev, wss, window, &slo), want);
+        let table = delta.into_suffix_sums();
+        prop_assert_eq!(
+            best_threshold_for_suffix_table(table.as_slice(), wss, window, &slo),
+            want
+        );
+    }
+
     /// The chosen best threshold always satisfies the budget (unless it is
     /// MAX, when nothing does), and the threshold one scan below it never
     /// does — minimality.

@@ -5,7 +5,7 @@ use std::sync::OnceLock;
 
 use sdfm_pool::WorkerPool;
 
-use crate::replay::{replay_job, JobReplayOutcome};
+use crate::replay::{replay, JobSums, PreparedTrace};
 use crate::trace::JobTrace;
 use sdfm_agent::{AgentParams, SloConfig};
 use sdfm_kernel::{ChainPolicy, CostModel, PrefetchPolicy, StorePressure};
@@ -94,10 +94,47 @@ impl FleetModelResult {
     }
 }
 
-/// The fast far memory model: owns the trace set, evaluates configurations.
+/// What one evaluation keeps of a run of consecutive jobs' replays: each
+/// job's sums, and every enabled window's normalized promotion rate, both
+/// in trace order.
+#[derive(Debug, Default)]
+struct FleetFold {
+    jobs: Vec<JobSums>,
+    enabled_rates: Vec<f64>,
+}
+
+impl FleetFold {
+    fn over(traces: &[PreparedTrace], config: &ModelConfig) -> Self {
+        let mut fold = FleetFold {
+            jobs: Vec::with_capacity(traces.len()),
+            enabled_rates: Vec::with_capacity(traces.iter().map(PreparedTrace::len).sum()),
+        };
+        for trace in traces {
+            let mut sums = JobSums::default();
+            replay(trace, config, |w| {
+                sums.add(&w);
+                if w.enabled {
+                    fold.enabled_rates
+                        .push(w.normalized_rate.fraction_per_min());
+                }
+            });
+            fold.jobs.push(sums);
+        }
+        fold
+    }
+
+    /// Appends the fold of the jobs that follow this one's.
+    fn append(&mut self, mut later: FleetFold) {
+        self.jobs.append(&mut later.jobs);
+        self.enabled_rates.append(&mut later.enabled_rates);
+    }
+}
+
+/// The fast far memory model: owns the prepared trace set, evaluates
+/// configurations.
 #[derive(Debug)]
 pub struct FarMemoryModel {
-    traces: Vec<JobTrace>,
+    traces: Vec<PreparedTrace>,
     threads: usize,
     /// Persistent worker pool, created lazily on the first parallel
     /// replay and shut down (workers joined) when the model drops.
@@ -108,9 +145,18 @@ impl FarMemoryModel {
     /// Builds a model over per-job traces, using all available parallelism
     /// (overridable via the `SDFM_THREADS` environment variable for
     /// reproducible CI runs).
+    ///
+    /// The traces are consumed into their prepared form here, once, for
+    /// the production SLO: everything a replay needs that does not depend
+    /// on the candidate `(K, S)`. Evaluating a configuration with another
+    /// [`SloConfig`] re-derives the SLO-dependent part on each call.
     pub fn new(traces: Vec<JobTrace>) -> Self {
+        let slo = SloConfig::default();
         FarMemoryModel {
-            traces,
+            traces: traces
+                .into_iter()
+                .map(|t| PreparedTrace::new(t.records, slo))
+                .collect(),
             threads: sdfm_pool::resolve_threads(0),
             pool: OnceLock::new(),
         }
@@ -137,54 +183,51 @@ impl FarMemoryModel {
 
     /// Evaluates one configuration across the fleet.
     pub fn evaluate(&self, config: &ModelConfig) -> FleetModelResult {
-        let outcomes = self.replay_all(config);
-        Self::aggregate(&outcomes)
+        Self::aggregate(&self.replay_all(config))
     }
 
-    fn replay_all(&self, config: &ModelConfig) -> Vec<JobReplayOutcome> {
-        if self.traces.is_empty() {
-            return Vec::new();
-        }
+    /// Replays every trace, on the pool when there is more than one
+    /// worker. Workers take contiguous runs of jobs and their folds are
+    /// appended in trace order, so the result does not depend on the
+    /// thread count.
+    fn replay_all(&self, config: &ModelConfig) -> FleetFold {
         let workers = self.threads.min(self.traces.len());
         if workers <= 1 {
-            return self.traces.iter().map(|t| replay_job(t, config)).collect();
+            return FleetFold::over(&self.traces, config);
         }
         let chunk = self.traces.len().div_ceil(workers);
         let tasks: Vec<_> = self
             .traces
             .chunks(chunk)
-            .map(|tc| move || tc.iter().map(|t| replay_job(t, config)).collect::<Vec<_>>())
+            .map(|tc| move || FleetFold::over(tc, config))
             .collect();
-        self.pool()
+        let mut fleet = FleetFold::default();
+        for fold in self
+            .pool()
             .run(tasks)
             .unwrap_or_else(|e| panic!("replay worker panicked: {e}"))
-            .into_iter()
-            .flatten()
-            .collect()
+        {
+            fleet.append(fold);
+        }
+        fleet
     }
 
-    fn aggregate(outcomes: &[JobReplayOutcome]) -> FleetModelResult {
+    fn aggregate(fleet: &FleetFold) -> FleetModelResult {
         let mut avg_cold = 0.0;
         let mut avg_frames = 0.0;
-        let mut rates: Vec<f64> = Vec::new();
         let mut coverages: Vec<f64> = Vec::new();
         let mut windows = 0usize;
-        for o in outcomes {
-            avg_cold += o.mean_cold_pages();
-            avg_frames += o.mean_store_frames();
-            windows += o.windows.len();
-            for w in &o.windows {
-                if w.enabled {
-                    rates.push(w.normalized_rate.fraction_per_min());
-                }
-            }
-            if let Some(c) = o.mean_coverage() {
+        for job in &fleet.jobs {
+            avg_cold += job.mean_cold_pages();
+            avg_frames += job.mean_store_frames();
+            windows += job.windows;
+            if let Some(c) = job.mean_coverage() {
                 coverages.push(c);
             }
         }
         // No enabled windows means the constraint was never exercised;
         // report that explicitly instead of a silently SLO-perfect zero.
-        let p98 = percentile(&rates, Percentile::P98)
+        let p98 = percentile(&fleet.enabled_rates, Percentile::P98)
             .map(|p| NormalizedPromotionRate::from_fraction_per_min(p.max(0.0)));
         let mean_coverage = if coverages.is_empty() {
             0.0
@@ -196,7 +239,7 @@ impl FarMemoryModel {
             p98_normalized_rate: p98,
             mean_coverage,
             avg_store_frames: avg_frames,
-            jobs: outcomes.len(),
+            jobs: fleet.jobs.len(),
             windows,
         }
     }

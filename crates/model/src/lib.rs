@@ -8,10 +8,21 @@
 //! from the histograms, one trace supports what-if analysis of any `(K, S)`
 //! configuration.
 //!
+//! That only pays if a what-if is cheap, so [`FarMemoryModel::new`]
+//! *prepares* each trace once: both histograms of every window become
+//! suffix-sum tables in place ("one histogram answers the question for
+//! every threshold at once", §4.3 — a candidate threshold is then one
+//! table read, not a pass over 256 counters), and what only the SLO
+//! decides — each window's best threshold and potential cold pages — is
+//! derived up front. [`FarMemoryModel::evaluate`] replays the prepared
+//! traces and folds the outcomes into the fleet result without keeping
+//! them; [`replay_job`] runs the same loop over one borrowed trace and
+//! returns every [`WindowOutcome`].
+//!
 //! The pipeline is embarrassingly parallel (jobs replay independently);
 //! the paper models a week of the whole WSC in under an hour on
 //! MapReduce. [`FarMemoryModel`] parallelizes over jobs on a persistent
-//! worker pool.
+//! worker pool, with results bit-identical at any thread count.
 //!
 //! # Examples
 //!
@@ -27,6 +38,8 @@
 #![warn(missing_docs)]
 
 mod fleet;
+#[cfg(test)]
+mod reference;
 mod replay;
 mod trace;
 

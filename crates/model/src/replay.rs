@@ -1,12 +1,27 @@
 //! Offline replay of the §4.3 control algorithm over one job's trace.
+//!
+//! A trace is *prepared* once and replayed many times. Preparation does
+//! everything that does not depend on the candidate `(K, S)`: each
+//! window's two histograms become suffix-sum tables in place (what-if
+//! queries turn into table reads, §4.3), and the two quantities only the
+//! SLO decides — the window's best threshold and its potential cold pages
+//! — are derived up front. [`replay`] is then the one loop over windows;
+//! [`replay_job`] collects its outcomes and
+//! [`FarMemoryModel::evaluate`](crate::FarMemoryModel::evaluate) folds
+//! them without keeping them.
+
+use std::borrow::Cow;
 
 use crate::fleet::ModelConfig;
 use crate::trace::JobTrace;
-use sdfm_agent::{best_threshold_for_window, AgentParams, JobController, SloConfig};
+use sdfm_agent::{
+    best_threshold_for_suffix_table, AgentParams, SloConfig, ThresholdPool, TraceRecord,
+};
 use sdfm_kernel::{CostModel, FarPolicy, FarState, StorePressure};
-use sdfm_types::histogram::{PageAge, PromotionHistogram};
+use sdfm_types::histogram::{AgeSuffixSums, PageAge};
 use sdfm_types::rate::{NormalizedPromotionRate, PromotionRate};
-use sdfm_types::time::SimTime;
+use sdfm_types::size::PageCount;
+use sdfm_types::time::{SimDuration, SimTime};
 
 /// One replayed window's outcome.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,50 +82,247 @@ pub struct JobReplayOutcome {
 }
 
 impl JobReplayOutcome {
+    fn sums(&self) -> JobSums {
+        let mut sums = JobSums::default();
+        for w in &self.windows {
+            sums.add(w);
+        }
+        sums
+    }
+
     /// Mean far-memory pages over the job's windows.
     pub fn mean_cold_pages(&self) -> f64 {
-        if self.windows.is_empty() {
-            return 0.0;
-        }
-        self.windows
-            .iter()
-            .map(|w| w.cold_pages as f64)
-            .sum::<f64>()
-            / self.windows.len() as f64
+        self.sums().mean_cold_pages()
     }
 
     /// Mean physical store frames over the job's windows — the realized
     /// DRAM footprint of the compressed store, per the cost model the
     /// replay ran with.
     pub fn mean_store_frames(&self) -> f64 {
-        if self.windows.is_empty() {
-            return 0.0;
-        }
-        self.windows
-            .iter()
-            .map(|w| w.store_frames as f64)
-            .sum::<f64>()
-            / self.windows.len() as f64
+        self.sums().mean_store_frames()
     }
 
     /// Mean coverage (far-memory pages / potential cold pages) over
     /// windows with nonzero potential.
     pub fn mean_coverage(&self) -> Option<f64> {
-        let eligible: Vec<&WindowOutcome> = self
-            .windows
-            .iter()
-            .filter(|w| w.potential_cold_pages > 0)
-            .collect();
-        if eligible.is_empty() {
-            return None;
+        self.sums().mean_coverage()
+    }
+}
+
+/// The running sums behind one job's means: what the fleet aggregate
+/// keeps of a replay instead of its [`WindowOutcome`]s.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct JobSums {
+    pub(crate) windows: usize,
+    cold_pages: f64,
+    store_frames: f64,
+    /// Sum of per-window coverage over the `eligible` windows (nonzero
+    /// potential).
+    coverage: f64,
+    eligible: usize,
+}
+
+impl JobSums {
+    /// Adds one window, in trace order (f64 sums are order-sensitive).
+    #[inline]
+    pub(crate) fn add(&mut self, w: &WindowOutcome) {
+        self.windows += 1;
+        self.cold_pages += w.cold_pages as f64;
+        self.store_frames += w.store_frames as f64;
+        if w.potential_cold_pages > 0 {
+            self.coverage += w.cold_pages as f64 / w.potential_cold_pages as f64;
+            self.eligible += 1;
         }
-        Some(
-            eligible
+    }
+
+    pub(crate) fn mean_cold_pages(&self) -> f64 {
+        if self.windows == 0 {
+            return 0.0;
+        }
+        self.cold_pages / self.windows as f64
+    }
+
+    pub(crate) fn mean_store_frames(&self) -> f64 {
+        if self.windows == 0 {
+            return 0.0;
+        }
+        self.store_frames / self.windows as f64
+    }
+
+    pub(crate) fn mean_coverage(&self) -> Option<f64> {
+        (self.eligible > 0).then(|| self.coverage / self.eligible as f64)
+    }
+}
+
+/// One trace window with everything candidate-independent precomputed.
+#[derive(Debug, Clone)]
+struct PreparedWindow {
+    at: SimTime,
+    window: SimDuration,
+    working_set: PageCount,
+    /// The share of would-be outcomes zswap realizes. Incompressible
+    /// pages are rejected: they neither occupy far memory nor fault. The
+    /// controller stays conservative (raw histograms), but realized
+    /// outcomes scale by this.
+    compressible: f64,
+    /// `cold.at(T)`: pages at least `T` scans old.
+    cold: AgeSuffixSums,
+    /// `promo.at(T)`: promotions of pages at least `T` scans old.
+    promo: AgeSuffixSums,
+}
+
+/// What the SLO alone decides about each window of a trace (9 bytes per
+/// window; parallel to [`PreparedTrace::windows`]).
+#[derive(Debug, Clone)]
+struct SloTable {
+    /// The window's best threshold (what it adds to the pool).
+    best: Vec<PageAge>,
+    /// Cold pages under the minimum threshold — the coverage denominator.
+    potential_cold_pages: Vec<u64>,
+}
+
+impl SloTable {
+    fn derive(windows: &[PreparedWindow], slo: &SloConfig) -> Self {
+        SloTable {
+            best: windows
                 .iter()
-                .map(|w| w.cold_pages as f64 / w.potential_cold_pages as f64)
-                .sum::<f64>()
-                / eligible.len() as f64,
-        )
+                .map(|w| {
+                    best_threshold_for_suffix_table(
+                        w.promo.as_slice(),
+                        w.working_set,
+                        w.window,
+                        slo,
+                    )
+                })
+                .collect(),
+            potential_cold_pages: windows
+                .iter()
+                .map(|w| w.cold.at(slo.min_threshold))
+                .collect(),
+        }
+    }
+}
+
+/// One job's trace, consumed into the form [`replay`] reads.
+#[derive(Debug, Clone)]
+pub(crate) struct PreparedTrace {
+    /// Job start: one window before the first record.
+    start: SimTime,
+    windows: Vec<PreparedWindow>,
+    /// The SLO `table` was derived for.
+    slo: SloConfig,
+    table: SloTable,
+}
+
+impl PreparedTrace {
+    /// Prepares time-ordered `records` for replays under `slo`. Each
+    /// record's histograms become its suffix tables in place, so a
+    /// prepared trace is no larger than the trace it consumed.
+    pub(crate) fn new(records: impl IntoIterator<Item = TraceRecord>, slo: SloConfig) -> Self {
+        let windows: Vec<PreparedWindow> = records
+            .into_iter()
+            .map(|r| PreparedWindow {
+                at: r.at,
+                window: r.window,
+                working_set: r.working_set,
+                compressible: 1.0 - r.incompressible_fraction.clamp(0.0, 1.0),
+                cold: r.cold_hist.into_suffix_sums(),
+                promo: r.promo_delta.into_suffix_sums(),
+            })
+            .collect();
+        let start = windows
+            .first()
+            .map(|w| SimTime::from_secs(w.at.as_secs().saturating_sub(w.window.as_secs())))
+            .unwrap_or(SimTime::ZERO);
+        let table = SloTable::derive(&windows, &slo);
+        PreparedTrace {
+            start,
+            windows,
+            slo,
+            table,
+        }
+    }
+
+    /// Number of windows.
+    pub(crate) fn len(&self) -> usize {
+        self.windows.len()
+    }
+
+    /// The prepared table when `slo` is the one it was prepared for, else
+    /// one derived for this call by the same function.
+    fn slo_table(&self, slo: &SloConfig) -> Cow<'_, SloTable> {
+        if *slo == self.slo {
+            Cow::Borrowed(&self.table)
+        } else {
+            Cow::Owned(SloTable::derive(&self.windows, slo))
+        }
+    }
+}
+
+/// Replays the control algorithm over one prepared trace under `config`,
+/// handing each window's outcome to `sink` in time order. This is the only
+/// copy of the per-window recurrence; see [`replay_job`] for what it
+/// computes.
+#[inline]
+pub(crate) fn replay(
+    trace: &PreparedTrace,
+    config: &ModelConfig,
+    mut sink: impl FnMut(WindowOutcome),
+) {
+    let ModelConfig { params, cost, .. } = config;
+    let policy = FarPolicy {
+        pressure: config.pressure,
+        chain: config.chain,
+        prefetch: config.prefetch,
+    };
+    let table = trace.slo_table(&config.slo);
+    let mut state = FarState::default();
+    let mut pool = ThresholdPool::new();
+
+    for ((w, &best), &potential) in trace
+        .windows
+        .iter()
+        .zip(&table.best)
+        .zip(&table.potential_cold_pages)
+    {
+        // Decision made at the previous boundary.
+        let threshold = match (pool.kth_percentile(params.k_percentile), pool.last()) {
+            (Some(p), Some(last_best)) => p.max(last_best),
+            _ => PageAge::MAX,
+        };
+        let enabled = w.at.saturating_duration_since(trace.start) >= params.s_warmup;
+        let (cold, promos) = if enabled {
+            (
+                (w.cold.at(threshold) as f64 * w.compressible) as u64,
+                (w.promo.at(threshold) as f64 * w.compressible) as u64,
+            )
+        } else {
+            (0, 0)
+        };
+        let far = state.step(enabled, cold, promos, &policy);
+        let rate =
+            PromotionRate::from_count(far.demand_promotions, w.window).normalized(w.working_set);
+        sink(WindowOutcome {
+            at: w.at,
+            enabled,
+            threshold,
+            cold_pages: cold,
+            potential_cold_pages: potential,
+            promotions: far.demand_promotions,
+            working_set: w.working_set.get(),
+            normalized_rate: rate,
+            store_pages: state.store_pages,
+            store_frames: cost.store_frames(state.store_pages),
+            ssd_pages: state.ssd_pages,
+            remote_pages: state.remote_pages,
+            prefetch_issued: far.prefetch.issued,
+            prefetch_used: far.prefetch.used,
+            prefetch_wasted: far.prefetch.wasted,
+            prefetch_late: far.prefetch.late,
+        });
+        // This window's best threshold joins the controller's sliding
+        // history for the next decision.
+        pool.push(best);
     }
 }
 
@@ -128,85 +340,14 @@ impl JobReplayOutcome {
 /// decays under `config.pressure` (down the chain if one is configured)
 /// instead of vanishing; hidden faults leave `promotions`. The store's
 /// physical footprint is sized by `config.cost`'s realized ratio.
+///
+/// This prepares a copy of the borrowed trace on every call; to replay
+/// one trace set under many configurations, build a
+/// [`FarMemoryModel`](crate::FarMemoryModel), which prepares once.
 pub fn replay_job(trace: &JobTrace, config: &ModelConfig) -> JobReplayOutcome {
-    let ModelConfig {
-        params, slo, cost, ..
-    } = config;
-    let policy = FarPolicy {
-        pressure: config.pressure,
-        chain: config.chain,
-        prefetch: config.prefetch,
-    };
-    let mut windows = Vec::with_capacity(trace.records.len());
-    let mut state = FarState::default();
-    let mut pool: Vec<PageAge> = Vec::new();
-    let empty = PromotionHistogram::new();
-    // Job start: one window before the first record.
-    let start = trace
-        .records
-        .first()
-        .map(|r| SimTime::from_secs(r.at.as_secs().saturating_sub(r.window.as_secs())))
-        .unwrap_or(SimTime::ZERO);
-
-    for record in &trace.records {
-        // Decision made at the previous boundary.
-        let threshold = match (kth_percentile(&pool, params.k_percentile), pool.last()) {
-            (Some(p), Some(&last_best)) => p.max(last_best),
-            _ => PageAge::MAX,
-        };
-        let enabled = record.at.saturating_duration_since(start) >= params.s_warmup;
-
-        let potential = record.cold_hist.pages_colder_than(slo.min_threshold);
-        // Incompressible pages are rejected by zswap: they neither occupy
-        // far memory nor fault. The controller stays conservative (raw
-        // histograms), but realized outcomes scale by the compressible
-        // share.
-        let compressible = 1.0 - record.incompressible_fraction.clamp(0.0, 1.0);
-        let (cold, promos) = if enabled {
-            (
-                (record.cold_hist.pages_colder_than(threshold) as f64 * compressible) as u64,
-                (record.promo_delta.promotions_colder_than(threshold) as f64 * compressible) as u64,
-            )
-        } else {
-            (0, 0)
-        };
-        let far = state.step(enabled, cold, promos, &policy);
-        let rate = PromotionRate::from_count(far.demand_promotions, record.window)
-            .normalized(record.working_set);
-        windows.push(WindowOutcome {
-            at: record.at,
-            enabled,
-            threshold,
-            cold_pages: cold,
-            potential_cold_pages: potential,
-            promotions: far.demand_promotions,
-            working_set: record.working_set.get(),
-            normalized_rate: rate,
-            store_pages: state.store_pages,
-            store_frames: cost.store_frames(state.store_pages),
-            ssd_pages: state.ssd_pages,
-            remote_pages: state.remote_pages,
-            prefetch_issued: far.prefetch.issued,
-            prefetch_used: far.prefetch.used,
-            prefetch_wasted: far.prefetch.wasted,
-            prefetch_late: far.prefetch.late,
-        });
-
-        // Update the pool with this window's best threshold, mirroring the
-        // controller's sliding history window.
-        let best = best_threshold_for_window(
-            &record.promo_delta,
-            &empty,
-            record.working_set,
-            record.window,
-            slo,
-        );
-        pool.push(best);
-        if pool.len() > JobController::POOL_CAP {
-            let excess = pool.len() - JobController::POOL_CAP;
-            pool.drain(..excess);
-        }
-    }
+    let prepared = PreparedTrace::new(trace.records.iter().cloned(), config.slo);
+    let mut windows = Vec::with_capacity(prepared.len());
+    replay(&prepared, config, |w| windows.push(w));
     JobReplayOutcome { windows }
 }
 
@@ -232,27 +373,12 @@ pub fn replay_job_with_model(
     )
 }
 
-/// Nearest-rank (rounding up) K-th percentile of the pool.
-fn kth_percentile(pool: &[PageAge], k: f64) -> Option<PageAge> {
-    if pool.is_empty() {
-        return None;
-    }
-    let mut sorted = pool.to_vec();
-    sorted.sort_unstable();
-    let n = sorted.len();
-    let rank = ((k / 100.0) * n as f64).ceil() as usize;
-    Some(sorted[rank.clamp(1, n) - 1])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdfm_agent::TraceRecord;
     use sdfm_kernel::{ChainPolicy, PrefetchPolicy};
-    use sdfm_types::histogram::ColdAgeHistogram;
+    use sdfm_types::histogram::{ColdAgeHistogram, PromotionHistogram};
     use sdfm_types::ids::JobId;
-    use sdfm_types::size::PageCount;
-    use sdfm_types::time::SimDuration;
 
     /// A steady window: 10k pages of which 4k are cold at age ≥ 3,
     /// 10 promotions/5min at ages ≥ 5, WSS 6k.

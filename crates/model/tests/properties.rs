@@ -17,7 +17,8 @@ fn arb_trace() -> impl Strategy<Value = JobTrace> {
             1u64..50_000,                                          // wss
             0f64..=0.6,                                            // incompressible
         ),
-        1..20,
+        // Up to well past `JobController::POOL_CAP`, so the pool slides.
+        1..80,
     )
     .prop_map(|windows| {
         let records = windows

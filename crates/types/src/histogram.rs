@@ -174,6 +174,55 @@ impl AgeCounts {
     fn is_empty(&self) -> bool {
         self.counts.iter().all(|&c| c == 0)
     }
+
+    /// One backward running sum over the counters, in place.
+    fn into_suffix_sums(mut self) -> AgeSuffixSums {
+        let mut suffix = 0u64;
+        for slot in self.counts.iter_mut().rev() {
+            suffix += *slot;
+            *slot = suffix;
+        }
+        AgeSuffixSums { sums: self.counts }
+    }
+}
+
+/// A histogram answered for every threshold at once (§4.3): entry `T` is
+/// the histogram's suffix sum over ages `>= T`, so a what-if query is one
+/// table read instead of a pass over up to 256 counters.
+///
+/// Built by [`ColdAgeHistogram::into_suffix_sums`] or
+/// [`PromotionHistogram::into_suffix_sums`], which turn the histogram's
+/// own counters into the table in place — no second allocation.
+///
+/// # Examples
+///
+/// ```
+/// use sdfm_types::histogram::{ColdAgeHistogram, PageAge};
+///
+/// let mut h = ColdAgeHistogram::new();
+/// h.record_page(PageAge::from_scans(0), 10);
+/// h.record_page(PageAge::from_scans(5), 4);
+/// let colder_than = h.clone().into_suffix_sums();
+/// for scans in [0, 1, 5, 6, 255] {
+///     let t = PageAge::from_scans(scans);
+///     assert_eq!(colder_than.at(t), h.pages_colder_than(t));
+/// }
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AgeSuffixSums {
+    sums: Vec<u64>,
+}
+
+impl AgeSuffixSums {
+    /// The suffix sum over ages `>= threshold`.
+    pub fn at(&self, threshold: PageAge) -> u64 {
+        self.sums[threshold.0 as usize]
+    }
+
+    /// The whole table, indexed by age in scans; non-increasing.
+    pub fn as_slice(&self) -> &[u64] {
+        &self.sums
+    }
 }
 
 impl Default for AgeCounts {
@@ -271,6 +320,13 @@ impl ColdAgeHistogram {
         self.inner.iter()
     }
 
+    /// Consumes the histogram into the table of
+    /// [`pages_colder_than`](Self::pages_colder_than) for every threshold,
+    /// reusing its storage.
+    pub fn into_suffix_sums(self) -> AgeSuffixSums {
+        self.inner.into_suffix_sums()
+    }
+
     /// True when no pages have been recorded.
     pub fn is_empty(&self) -> bool {
         self.inner.is_empty()
@@ -353,6 +409,13 @@ impl PromotionHistogram {
         self.inner.iter()
     }
 
+    /// Consumes the histogram into the table of
+    /// [`promotions_colder_than`](Self::promotions_colder_than) for every
+    /// threshold, reusing its storage.
+    pub fn into_suffix_sums(self) -> AgeSuffixSums {
+        self.inner.into_suffix_sums()
+    }
+
     /// True when no accesses have been recorded.
     pub fn is_empty(&self) -> bool {
         self.inner.is_empty()
@@ -433,6 +496,30 @@ mod tests {
         let t2 = PageAge::from_duration(SimDuration::from_mins(2));
         assert_eq!(h.promotions_colder_than(t8), 1);
         assert_eq!(h.promotions_colder_than(t2), 2);
+    }
+
+    #[test]
+    fn suffix_sums_answer_every_threshold_in_place() {
+        let mut cold = ColdAgeHistogram::new();
+        let mut promo = PromotionHistogram::new();
+        for (scans, n) in [(0u8, 7u64), (1, 5), (2, 0), (9, 3), (254, 2), (255, 11)] {
+            cold.record_page(PageAge::from_scans(scans), n);
+            promo.record_promotion(PageAge::from_scans(scans), n * 3);
+        }
+        let storage = cold.inner.counts.as_ptr();
+        let cold_sums = cold.clone().into_suffix_sums();
+        let promo_sums = promo.clone().into_suffix_sums();
+        for scans in 0..=MAX_AGE_SCANS {
+            let t = PageAge::from_scans(scans);
+            assert_eq!(cold_sums.at(t), cold.pages_colder_than(t));
+            assert_eq!(promo_sums.at(t), promo.promotions_colder_than(t));
+        }
+        assert_eq!(cold_sums.as_slice().len(), AGE_BUCKETS);
+        assert!(cold_sums.as_slice().windows(2).all(|w| w[0] >= w[1]));
+        // The table is the histogram's own allocation, not a copy.
+        assert_eq!(cold.into_suffix_sums().as_slice().as_ptr(), storage);
+        let empty = PromotionHistogram::new().into_suffix_sums();
+        assert!(empty.as_slice().iter().all(|&s| s == 0));
     }
 
     #[test]

@@ -64,6 +64,16 @@ impl fmt::Display for Percentile {
 /// Returns `None` for an empty sample set. Does not require the input to be
 /// sorted; NaN samples are ignored.
 ///
+/// Only the two closest ranks are needed, so this is a selection, not a
+/// sort: `select_nth_unstable_by` places the lower rank, and the upper one
+/// is the minimum of what landed to its right. The result has the bits
+/// [`percentile_of_sorted`] returns over the stably sorted samples, with
+/// one exception: `0.0` and `-0.0` compare equal, so a sort leaves such a
+/// tie in input order while the selection orders it `-0.0` first. No
+/// caller can produce that tie — every sample set in the tree is rates,
+/// ratios and durations computed from unsigned counts, which are never
+/// `-0.0`.
+///
 /// # Examples
 ///
 /// ```
@@ -74,11 +84,34 @@ impl fmt::Display for Percentile {
 /// ```
 pub fn percentile(samples: &[f64], p: Percentile) -> Option<f64> {
     let mut xs: Vec<f64> = samples.iter().copied().filter(|x| !x.is_nan()).collect();
-    if xs.is_empty() {
-        return None;
+    if xs.len() <= 1 {
+        return xs.first().copied();
     }
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("NaNs filtered above"));
-    Some(percentile_of_sorted(&xs, p))
+    let (lo, hi, frac) = closest_ranks(xs.len(), p);
+    let (_, &mut lower, above) = xs.select_nth_unstable_by(lo, f64::total_cmp);
+    let upper = if hi == lo {
+        lower
+    } else {
+        // `hi == lo + 1 < len`, so `above` is not empty.
+        above
+            .iter()
+            .copied()
+            .min_by(f64::total_cmp)
+            .unwrap_or(lower)
+    };
+    Some(interpolate(lower, upper, frac))
+}
+
+/// The two closest ranks to `p` among `len >= 1` sorted samples, and the
+/// weight of the upper one.
+fn closest_ranks(len: usize, p: Percentile) -> (usize, usize, f64) {
+    let rank = p.quantile() * (len - 1) as f64;
+    let lo = rank.floor() as usize;
+    (lo, rank.ceil() as usize, rank - lo as f64)
+}
+
+fn interpolate(lower: f64, upper: f64, frac: f64) -> f64 {
+    lower + (upper - lower) * frac
 }
 
 /// Like [`percentile`], but assumes `sorted` is already ascending and
@@ -92,11 +125,8 @@ pub fn percentile_of_sorted(sorted: &[f64], p: Percentile) -> f64 {
     if sorted.len() == 1 {
         return sorted[0];
     }
-    let rank = p.quantile() * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    let frac = rank - lo as f64;
-    sorted[lo] + (sorted[hi] - sorted[lo]) * frac
+    let (lo, hi, frac) = closest_ranks(sorted.len(), p);
+    interpolate(sorted[lo], sorted[hi], frac)
 }
 
 /// Arithmetic mean; `None` for an empty set. NaN samples are ignored.

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use sdfm_types::histogram::{ColdAgeHistogram, PageAge, PromotionHistogram};
-use sdfm_types::stats::{percentile, Cdf, FiveNumberSummary, Percentile};
+use sdfm_types::stats::{percentile, percentile_of_sorted, Cdf, FiveNumberSummary, Percentile};
 use sdfm_types::time::SimDuration;
 
 proptest! {
@@ -72,6 +72,39 @@ proptest! {
             prop_assert!(v >= prev - 1e-9);
             prop_assert!(v >= lo - 1e-9 && v <= hi + 1e-9);
             prev = v;
+        }
+    }
+
+    /// The selection behind `percentile` returns, bit for bit, what
+    /// sorting the NaN-free samples and interpolating would: duplicates
+    /// (values drawn from a handful of levels), NaNs, infinities, and the
+    /// lengths around the rank arithmetic's edge cases. Zero appears with
+    /// one sign only — a `0.0` / `-0.0` tie is the documented exception.
+    #[test]
+    fn percentile_selection_matches_the_sorted_oracle(
+        xs in prop::collection::vec(
+            prop_oneof![
+                (0u8..6).prop_map(|level| f64::from(level) * 0.25),
+                -1e9f64..1e9,
+                Just(f64::NAN),
+                Just(f64::INFINITY),
+            ],
+            0..300,
+        ),
+    ) {
+        for len in [1, 2, 3, xs.len()] {
+            let xs = &xs[..len.min(xs.len())];
+            let mut sorted: Vec<f64> = xs.iter().copied().filter(|x| !x.is_nan()).collect();
+            sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaNs filtered above"));
+            for p in [0.0, 50.0, 98.0, 100.0] {
+                let p = Percentile::new(p).unwrap();
+                let want = (!sorted.is_empty()).then(|| percentile_of_sorted(&sorted, p));
+                prop_assert_eq!(
+                    percentile(xs, p).map(f64::to_bits),
+                    want.map(f64::to_bits),
+                    "{} of {:?}", p, xs
+                );
+            }
         }
     }
 
