@@ -348,7 +348,6 @@ impl PageLevelJob {
             working_set,
             cold_hist,
             promo_delta,
-            multiplier: 1.0,
         }
     }
 }

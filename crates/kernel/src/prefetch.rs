@@ -1,4 +1,4 @@
-//! Correlation-based prefetch/promotion prediction (ROADMAP item).
+//! Correlation-based prefetch/promotion prediction.
 //!
 //! Every cold-page access in the base system pays the full promotion
 //! stall: the faulting job waits for a zswap decompression or a device

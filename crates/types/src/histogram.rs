@@ -164,6 +164,10 @@ impl AgeCounts {
         self.counts[to.0 as usize] += n;
     }
 
+    fn slots_mut(&mut self) -> &mut [u64] {
+        &mut self.counts
+    }
+
     fn iter(&self) -> impl Iterator<Item = (PageAge, u64)> + '_ {
         self.counts
             .iter()
@@ -315,6 +319,14 @@ impl ColdAgeHistogram {
         self.inner.move_weight(from, to, n);
     }
 
+    /// The page count of every age, indexed by age in scans
+    /// ([`AGE_BUCKETS`] slots) — for a producer that fills a whole
+    /// histogram and would pay for [`record_page`](Self::record_page)'s
+    /// bounds check on every cell.
+    pub fn slots_mut(&mut self) -> &mut [u64] {
+        self.inner.slots_mut()
+    }
+
     /// Iterates over `(age, page count)` pairs, including empty buckets.
     pub fn iter(&self) -> impl Iterator<Item = (PageAge, u64)> + '_ {
         self.inner.iter()
@@ -402,6 +414,13 @@ impl PromotionHistogram {
     /// Adds every bucket of `other` into `self`.
     pub fn merge(&mut self, other: &PromotionHistogram) {
         self.inner.merge(&other.inner);
+    }
+
+    /// The access count of every age, indexed by age in scans
+    /// ([`AGE_BUCKETS`] slots) — the counterpart of
+    /// [`ColdAgeHistogram::slots_mut`].
+    pub fn slots_mut(&mut self) -> &mut [u64] {
+        self.inner.slots_mut()
     }
 
     /// Iterates over `(age at access, access count)` pairs.

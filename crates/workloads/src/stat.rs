@@ -21,7 +21,7 @@ use rand_distr::{Distribution, Normal};
 use serde::{Deserialize, Serialize};
 
 use crate::profile::JobProfile;
-use sdfm_types::histogram::{ColdAgeHistogram, PageAge, PromotionHistogram, MAX_AGE_SCANS};
+use sdfm_types::histogram::{ColdAgeHistogram, PromotionHistogram, AGE_BUCKETS, MAX_AGE_SCANS};
 use sdfm_types::size::PageCount;
 use sdfm_types::time::{SimDuration, SimTime, KSTALED_SCAN_PERIOD};
 
@@ -38,8 +38,6 @@ pub struct WindowObservation {
     pub cold_hist: ColdAgeHistogram,
     /// Would-be promotions during the window, by age at access.
     pub promo_delta: PromotionHistogram,
-    /// The diurnal × noise multiplier in force.
-    pub multiplier: f64,
 }
 
 /// Generates per-window observations for one job from its profile.
@@ -51,8 +49,8 @@ pub struct StatJobModel {
     bucket_noise: Vec<f64>,
     /// AR(1) persistence per step.
     rho: f64,
-    /// Stationary sigma of the log-noise.
-    sigma: f64,
+    /// The AR(1) innovation; `None` when sigma is 0 (no noise, no draws).
+    innovation: Option<Normal<f64>>,
     /// The last moment every page was touched at once: job start, or the
     /// most recent full-memory burst. Page ages cannot exceed the time
     /// since this.
@@ -78,14 +76,25 @@ impl StatJobModel {
 
     /// Creates a model with explicit log-noise sigma (0 disables noise,
     /// making observations deterministic expectations).
+    ///
+    /// # Panics
+    ///
+    /// If `sigma` is negative or not finite.
     pub fn with_noise(profile: JobProfile, seed: u64, sigma: f64) -> Self {
         let n = profile.rate_buckets.len();
+        let rho: f64 = 0.9;
+        let innovation = (sigma != 0.0).then(|| {
+            // The stationary log-noise has standard deviation `sigma`.
+            let innov_sd = sigma * (1.0 - rho * rho).sqrt();
+            // sdfm-lint: allow(P1) reason="innovation sd is finite and non-negative for rho in [0, 1]"
+            Normal::new(0.0, innov_sd).expect("positive sd")
+        });
         StatJobModel {
             profile,
             rng: StdRng::seed_from_u64(seed),
             bucket_noise: vec![1.0; n],
-            rho: 0.9,
-            sigma,
+            rho,
+            innovation,
             last_reset: SimTime::ZERO,
         }
     }
@@ -109,6 +118,10 @@ impl StatJobModel {
     /// full-memory burst: every page is touched — the promotion histogram
     /// receives the entire pre-burst age distribution, the working set
     /// spikes to the whole job, and ages restart.
+    ///
+    /// The order of the RNG draws is part of the determinism contract:
+    /// per-bucket noise, the burst coin, then per bucket per age the cold
+    /// cell, the promotion cell, and last the collapsed tail.
     pub fn observe(&mut self, at: SimTime, window: SimDuration) -> WindowObservation {
         let diurnal = self.profile.diurnal.multiplier(at);
         self.advance_noise();
@@ -127,57 +140,60 @@ impl StatJobModel {
 
         let mut cold = ColdAgeHistogram::new();
         let mut promo = PromotionHistogram::new();
+        // Cut to the constant length, a `u8` age indexes these unchecked.
+        let cold_slots = &mut cold.slots_mut()[..AGE_BUCKETS];
+        let promo_slots = &mut promo.slots_mut()[..AGE_BUCKETS];
         let mut wss = 0.0f64;
-        let total_pages: u64 = self.profile.rate_buckets.iter().map(|b| b.pages).sum();
+        // A local copy keeps the generator's state in registers while the
+        // cells store into the histograms.
+        let mut rng = self.rng.clone();
 
-        for bi in 0..self.profile.rate_buckets.len() {
-            let bucket = self.profile.rate_buckets[bi];
-            let lambda = bucket.rate_per_sec * diurnal * self.bucket_noise[bi];
+        for (bucket, noise) in self.profile.rate_buckets.iter().zip(&self.bucket_noise) {
+            let lambda = bucket.rate_per_sec * diurnal * noise;
             let n = bucket.pages as f64;
             let q = (-lambda * scan_secs).exp();
-            if !burst {
+            if burst {
+                // Every page is accessed at its current age, however thin
+                // the tail.
+                walk_ages(
+                    q,
+                    cap,
+                    |_| false,
+                    |k, p_age_k| {
+                        if k >= 1 {
+                            promo_slots[usize::from(k)] += stochastic_round(&mut rng, n * p_age_k);
+                        }
+                    },
+                );
+            } else {
                 wss += n * (1.0 - q);
-            }
-            // Walk q^k over the truncated age distribution. At k == cap all
-            // remaining mass sits at exactly that age (untouched since the
-            // last reset).
-            let mut qk = 1.0; // q^0
-            let mut k = 0u8;
-            loop {
-                let qk1 = qk * q;
-                let at_cap = k >= cap;
-                let p_age_k = if at_cap { qk } else { qk - qk1 };
-                let pages_at_k = n * p_age_k;
-                if burst {
-                    // Every page is accessed at its current age.
-                    if k >= 1 {
-                        self.add_promo_rounded(&mut promo, k, pages_at_k);
-                    }
-                } else {
-                    self.add_rounded(&mut cold, k, pages_at_k);
-                    if k >= 1 {
-                        // Regular accesses arriving this window find pages
-                        // at age k with probability mass p_age_k.
-                        self.add_promo_rounded(&mut promo, k, n * lambda * window_secs * p_age_k);
-                    }
+                let accesses = n * lambda * window_secs;
+                let tail = walk_ages(
+                    q,
+                    cap,
+                    |qk1| qk1 * n < 1e-3,
+                    |k, p_age_k| {
+                        cold_slots[usize::from(k)] += stochastic_round(&mut rng, n * p_age_k);
+                        if k >= 1 {
+                            // Regular accesses arriving this window find
+                            // pages at age k with probability mass p_age_k.
+                            promo_slots[usize::from(k)] +=
+                                stochastic_round(&mut rng, accesses * p_age_k);
+                        }
+                    },
+                );
+                if let Some((k, qk)) = tail {
+                    // Sub-milli-page tail: collapsed to one age.
+                    cold_slots[usize::from(k)] += stochastic_round(&mut rng, n * qk);
                 }
-                if at_cap || (qk1 * n < 1e-3 && !burst) {
-                    if !at_cap && qk1 > 0.0 {
-                        // Sub-milli-page tail: collapse to k+1 (or cap).
-                        let kt = (k + 1).min(cap);
-                        self.add_rounded(&mut cold, kt, n * qk1);
-                    }
-                    break;
-                }
-                qk = qk1;
-                k += 1;
             }
         }
+        self.rng = rng;
 
         if burst {
             // Post-burst: every page hot, the whole job is the working set.
-            cold.clear();
-            cold.record_page(PageAge::HOT, total_pages);
+            let total_pages = self.profile.total_pages().get();
+            cold_slots[0] = total_pages;
             wss = total_pages as f64;
             self.last_reset = at;
         }
@@ -188,49 +204,76 @@ impl StatJobModel {
             working_set: PageCount::new(wss.round() as u64),
             cold_hist: cold,
             promo_delta: promo,
-            multiplier: diurnal,
         }
     }
 
     fn advance_noise(&mut self) {
-        if self.sigma == 0.0 {
+        let Some(innovation) = self.innovation else {
             return;
-        }
-        let innov_sd = self.sigma * (1.0 - self.rho * self.rho).sqrt();
-        // sdfm-lint: allow(P1) reason="innovation sd is finite and non-negative for rho in [0, 1]"
-        let normal = Normal::new(0.0, innov_sd).expect("positive sd");
+        };
         for x in &mut self.bucket_noise {
-            let ln = self.rho * x.ln() + normal.sample(&mut self.rng);
+            let ln = self.rho * x.ln() + innovation.sample(&mut self.rng);
             *x = ln.exp().clamp(0.05, 20.0);
         }
     }
+}
 
-    /// Stochastic rounding keeps sub-unit expectations unbiased.
-    fn round_stochastic(&mut self, v: f64) -> u64 {
-        let base = v.floor();
-        let frac = v - base;
-        base as u64 + u64::from(self.rng.gen_bool(frac.clamp(0.0, 1.0)))
+/// Walks `q^k` over one bucket's age distribution truncated at `cap`,
+/// handing `cell` each age `k` with the probability mass at that age. At
+/// `k == cap` all remaining mass sits at exactly that age (untouched since
+/// the last reset). When `negligible(q^(k+1))` says what lies past age `k`
+/// no longer matters the walk stops early and returns the age and the
+/// mass the unvisited tail collapses to.
+#[inline(always)]
+fn walk_ages(
+    q: f64,
+    cap: u8,
+    negligible: impl Fn(f64) -> bool,
+    mut cell: impl FnMut(u8, f64),
+) -> Option<(u8, f64)> {
+    let mut qk = 1.0; // q^0
+    let mut k = 0u8;
+    loop {
+        let qk1 = qk * q;
+        let at_cap = k >= cap;
+        // One call site, so the cell is inlined and what it captures stays
+        // in registers.
+        cell(k, if at_cap { qk } else { qk - qk1 });
+        if at_cap {
+            return None;
+        }
+        if negligible(qk1) {
+            return (qk1 > 0.0).then_some((k + 1, qk1));
+        }
+        qk = qk1;
+        k += 1;
     }
+}
 
-    fn add_rounded(&mut self, hist: &mut ColdAgeHistogram, age: u8, v: f64) {
-        if v <= 0.0 {
-            return;
-        }
-        let n = self.round_stochastic(v);
-        if n > 0 {
-            hist.record_page(PageAge::from_scans(age), n);
-        }
+/// Stochastic rounding keeps sub-unit expectations unbiased: `floor(v)`,
+/// plus one with probability `v - floor(v)`. Makes exactly one draw for
+/// every `v` that is not `<= 0`, and none otherwise.
+#[inline(always)]
+fn stochastic_round(rng: &mut StdRng, v: f64) -> u64 {
+    /// From here up an `f64` has no fractional part.
+    const INTEGRAL_FROM: f64 = (1u64 << 52) as f64;
+    if v <= 0.0 {
+        return 0;
     }
-
-    fn add_promo_rounded(&mut self, hist: &mut PromotionHistogram, age: u8, v: f64) {
-        if v <= 0.0 {
-            return;
-        }
-        let n = self.round_stochastic(v);
-        if n > 0 {
-            hist.record_promotion(PageAge::from_scans(age), n);
-        }
+    let u: f64 = rng.gen();
+    if v < 1.0 {
+        // Four cells in five hold less than a page: the floor is 0 and
+        // the fraction is `v` itself.
+        return u64::from(u < v);
     }
+    if v >= INTEGRAL_FROM {
+        return v as u64;
+    }
+    // `v as i64` is `floor(v)` on [1, 2^52), and the signed cast is one
+    // instruction where the unsigned one is a compare-and-fix-up sequence.
+    let base = v as i64;
+    let frac = v - base as f64;
+    base as u64 + u64::from(u < frac)
 }
 
 #[cfg(test)]
@@ -238,6 +281,7 @@ mod tests {
     use super::*;
     use crate::profile::{DiurnalPattern, JobPriority, RateBucket};
     use sdfm_compress::gen::CompressibilityMix;
+    use sdfm_types::histogram::PageAge;
     use sdfm_types::time::MINUTE;
 
     fn profile(buckets: Vec<RateBucket>, diurnal: DiurnalPattern) -> JobProfile {
@@ -386,5 +430,48 @@ mod tests {
         let oa = a.observe(SimTime::from_secs(300), MINUTE * 5);
         let ob = b.observe(SimTime::from_secs(300), MINUTE * 5);
         assert_eq!(oa, ob);
+    }
+
+    #[test]
+    fn rounding_matches_the_floor_clamp_gen_bool_spelling_draw_for_draw() {
+        // What `stochastic_round` replaced, spelled out; callers skipped
+        // it for `v <= 0`.
+        fn reference(rng: &mut StdRng, v: f64) -> u64 {
+            let base = v.floor();
+            let frac = v - base;
+            base as u64 + u64::from(rng.gen_bool(frac.clamp(0.0, 1.0)))
+        }
+        let two_52 = (1u64 << 52) as f64;
+        let mut values = vec![
+            f64::MIN_POSITIVE,
+            1e-300,
+            0.5,
+            1.0 - f64::EPSILON / 2.0,
+            1.0,
+            1.5,
+            two_52 - 0.5,
+            two_52,
+            (1u64 << 60) as f64,
+            1.8e19,
+        ];
+        let mut seeder = StdRng::seed_from_u64(7);
+        // Log-uniform over 2^-70 .. 2^66: far below one page to past
+        // `u64::MAX`.
+        values.extend((0..10_000).map(|_| seeder.gen_range(-70.0..66.0f64).exp2()));
+        let mut new_rng = StdRng::seed_from_u64(8);
+        let mut old_rng = new_rng.clone();
+        for v in values {
+            assert_eq!(
+                stochastic_round(&mut new_rng, v),
+                reference(&mut old_rng, v),
+                "v = {v:e}"
+            );
+            assert_eq!(new_rng, old_rng, "RNG position after v = {v:e}");
+        }
+        // No draw for a cell with no mass.
+        for v in [0.0, -0.0, -1.5] {
+            assert_eq!(stochastic_round(&mut new_rng, v), 0);
+            assert_eq!(new_rng, old_rng, "v = {v} must not draw");
+        }
     }
 }
