@@ -7,14 +7,14 @@
 //! A mismatch means simulation output changed: that is either a bug or a
 //! deliberate model change that must re-record the pin in its own commit.
 
-use sdfm_agent::AgentParams;
+use sdfm_agent::{AgentParams, SloConfig};
 use sdfm_core::experiments::bigtable::{figure10, Fig10Config};
 use sdfm_core::experiments::coldness::{figure1, figure2, figure3};
 use sdfm_core::experiments::rollout::{figure5, figure6, figure7};
 use sdfm_core::experiments::tables::{table1, table2};
 use sdfm_core::experiments::two_tier::experiment_two_tier;
 use sdfm_core::experiments::{collect_fleet_traces, Scale};
-use sdfm_core::{FleetSim, FleetSimConfig};
+use sdfm_core::{AutotunePipeline, FleetSim, FleetSimConfig};
 use sdfm_kernel::{ChainPolicy, PrefetchMode, PrefetchPolicy};
 use sdfm_model::{replay_job, FarMemoryModel, ModelConfig};
 use sdfm_types::time::SimDuration;
@@ -175,6 +175,84 @@ fn replay_past_the_pool_cap_is_pinned() {
             debug_hash(&model.evaluate(&base)),
             0x74f3_f84e_b2bf_04f0,
         );
+    }
+}
+
+/// A 48-step `AutotunePipeline` run over 48-window traces, hashed trial by
+/// trial: `evaluate` at every `(K, S)` the bandit chooses, not only at the
+/// two fixed configurations above.
+#[test]
+fn autotune_trial_sequence_is_pinned() {
+    let scale = Scale {
+        machines_per_cluster: 1,
+        ..Scale::small()
+    };
+    let model = FarMemoryModel::new(collect_fleet_traces(&scale, 48));
+    let mut pipeline = AutotunePipeline::new(model, SloConfig::default(), 42);
+    let expected = [
+        0x4e20_3035_cd72_78a8u64,
+        0x7c40_2959_2237_70ba,
+        0x7617_074c_7103_ca57,
+        0xecb7_215d_9e7b_c612,
+        0xd1b6_276b_a2a2_64a0,
+        0x88cb_3058_8af6_0023,
+        0x2680_47ed_a7c7_6806,
+        0x136a_96c6_5427_0b51,
+        0x6fc9_6150_3fe6_9545,
+        0xe88b_eb9f_ae32_f513,
+        0x39bd_9bb0_452e_c0d3,
+        0xbc13_8acc_f156_95eb,
+        0xcd86_e2a0_5372_2bbb,
+        0x9867_9a92_ed57_b7bf,
+        0x0d19_1747_bb1e_be1b,
+        0xeb75_5edc_c834_5795,
+        0x48a2_7b61_4128_8bf0,
+        0x613a_c2d4_20fe_0182,
+        0x91ba_6991_006d_135c,
+        0x059f_7ae2_cb95_293f,
+        0x6253_0d78_d52c_28b6,
+        0x5ecd_019f_38ed_e8fa,
+        0xeb79_4972_247a_12c4,
+        0xc36d_30e8_16c2_fff3,
+        0x5687_b245_284c_4ae2,
+        0xd846_eb9e_de54_4f99,
+        0x8542_3661_effe_a5bb,
+        0x9411_e4b9_d680_db8b,
+        0xc406_d55a_16a1_1d55,
+        0x8a6e_fa95_0089_4b35,
+        0xf638_765c_ff62_f644,
+        0xabed_7bf1_ee71_c32b,
+        0x4c10_31c6_50b3_3883,
+        0xcf24_a2f9_ba3e_ae4b,
+        0xa89b_75b6_6a80_9812,
+        0x4f5a_bd6b_be11_aa58,
+        0x8905_42fa_1727_ca47,
+        0xd12e_e088_aea4_0ccd,
+        0xb97b_21ca_d540_5c5d,
+        0x6f3a_f77d_64ae_a1cd,
+        0x2e57_9040_0ab5_773a,
+        0x8311_0c89_0f53_09d1,
+        0xcc6f_ee26_2837_6274,
+        0x3fbf_6d49_a138_50ae,
+        0xa0c7_07e6_7629_c68d,
+        0xa5bc_f1aa_d605_b78e,
+        0xa3e7_779d_e63e_dd54,
+        0x5cc5_9b1b_b056_fc01,
+    ];
+    for (step, want) in expected.into_iter().enumerate() {
+        let trial = pipeline.step();
+        let bits = [
+            trial.k_percentile,
+            trial.s_warmup_secs,
+            trial.cold_pages,
+            trial.p98_rate,
+        ]
+        .map(f64::to_bits);
+        let hash = bits
+            .iter()
+            .fold(FNV_OFFSET, |h, b| fnv1a64(h, &b.to_le_bytes()));
+        let hash = fnv1a64(hash, &[u8::from(trial.feasible)]);
+        pin(&format!("autotune trial {step}: {trial:?}"), hash, want);
     }
 }
 
