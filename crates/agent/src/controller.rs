@@ -36,8 +36,10 @@ pub struct ControlDecision {
 /// would-be promotion count for each candidate threshold (§4.3's insight:
 /// one histogram answers the question for *every* threshold at once).
 ///
-/// Builds that delta suffix table and answers through
-/// [`best_threshold_for_suffix_table`], which see for the result.
+/// Returns the smallest satisfying threshold at or above
+/// `slo.min_threshold`; if even the maximum age violates the budget,
+/// returns [`PageAge::MAX`] (the least aggressive choice). A zero-length
+/// window has no rate to bound and yields `slo.min_threshold`.
 pub fn best_threshold_for_window(
     promo_now: &PromotionHistogram,
     promo_prev: &PromotionHistogram,
@@ -59,43 +61,64 @@ pub fn best_threshold_for_window(
         suffix += *slot;
         *slot = suffix;
     }
-    best_threshold_for_suffix_table(&delta_suffix, working_set, window, slo)
+    let Some(exceeds) = budget_test(working_set, window, slo) else {
+        return slo.min_threshold;
+    };
+    let min_scans = usize::from(slo.min_threshold.as_scans());
+    // Suffix counts only grow as the threshold drops, so the violating
+    // thresholds are a prefix of the candidates.
+    let violating = delta_suffix
+        .get(min_scans..)
+        .unwrap_or(&[])
+        .partition_point(|&suffix| exceeds(suffix));
+    u8::try_from(min_scans + violating).map_or(PageAge::MAX, PageAge::from_scans)
 }
 
-/// [`best_threshold_for_window`] over a window's promotion suffix table:
-/// `promo_suffix[T]` is the would-be promotion count at threshold `T`
-/// scans (non-increasing in `T`, as
-/// [`AgeSuffixSums::as_slice`](sdfm_types::histogram::AgeSuffixSums::as_slice)
-/// gives it; ages past the table's end count as zero promotions).
+/// [`best_threshold_for_window`] over one window's own promotions (a
+/// delta, not two cumulative histograms), with the same result and
+/// without building a suffix table.
 ///
-/// Returns the smallest satisfying threshold at or above
-/// `slo.min_threshold`; if even the maximum age violates the budget,
-/// returns [`PageAge::MAX`] (the least aggressive choice). A zero-length
-/// window has no rate to bound and yields `slo.min_threshold`.
-///
-/// This is the one place the SLO budget is tested: the live controller
-/// reaches it through [`best_threshold_for_window`], the offline replay
-/// calls it on its prepared tables.
-pub fn best_threshold_for_suffix_table(
-    promo_suffix: &[u64],
+/// It walks up the ages from `slo.min_threshold`, taking each age's count
+/// off the running suffix sum, and stops at the first threshold within
+/// budget. A window that needs only a low threshold stops early.
+pub fn best_threshold_for_delta(
+    promo_delta: &PromotionHistogram,
     working_set: PageCount,
     window: SimDuration,
     slo: &SloConfig,
 ) -> PageAge {
+    let Some(exceeds) = budget_test(working_set, window, slo) else {
+        return slo.min_threshold;
+    };
+    let mut suffix = promo_delta.promotions_colder_than(slo.min_threshold);
+    let from_min = promo_delta
+        .iter()
+        .skip(usize::from(slo.min_threshold.as_scans()));
+    for (age, promotions) in from_min {
+        if !exceeds(suffix) {
+            return age;
+        }
+        suffix -= promotions;
+    }
+    PageAge::MAX
+}
+
+/// The SLO budget test for one window: `exceeds(n)` says whether `n`
+/// would-be promotions break the budget. `None` for a zero-length window,
+/// which has no rate to bound.
+///
+/// This is the one place the SLO budget is tested: the live controller
+/// reaches it through [`best_threshold_for_window`], the offline replay
+/// through [`best_threshold_for_delta`].
+fn budget_test(
+    working_set: PageCount,
+    window: SimDuration,
+    slo: &SloConfig,
+) -> Option<impl Fn(u64) -> bool> {
     // Promotions per minute allowed by the SLO.
     let budget = slo.target.fraction_per_min() * working_set.get() as f64;
     let window_mins = window.as_mins_f64();
-    if window_mins <= 0.0 {
-        return slo.min_threshold;
-    }
-    let min_scans = usize::from(slo.min_threshold.as_scans());
-    // Suffix counts only grow as the threshold drops, so the violating
-    // thresholds are a prefix of the candidates.
-    let violating = promo_suffix
-        .get(min_scans..)
-        .unwrap_or(&[])
-        .partition_point(|&suffix| suffix as f64 / window_mins > budget);
-    u8::try_from(min_scans + violating).map_or(PageAge::MAX, PageAge::from_scans)
+    (window_mins > 0.0).then_some(move |promotions: u64| promotions as f64 / window_mins > budget)
 }
 
 /// The per-job control state: threshold history pool, previous histogram

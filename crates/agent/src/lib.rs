@@ -42,7 +42,7 @@ mod params;
 mod pool;
 
 pub use controller::{
-    best_threshold_for_suffix_table, best_threshold_for_window, ControlDecision, JobController,
+    best_threshold_for_delta, best_threshold_for_window, ControlDecision, JobController,
 };
 pub use exporter::{TraceExporter, TraceRecord, EXPORT_PERIOD};
 pub use node_agent::NodeAgent;

@@ -9,7 +9,10 @@ const GROUP: usize = 16;
 /// for their K-th percentile.
 ///
 /// Shared by the live [`JobController`](crate::JobController) and the
-/// offline replay, so both slide and rank the history identically. The
+/// offline replay, so both slide and rank the history identically: the
+/// controller asks for the percentile each control period, the replay
+/// records [`ascending`](Self::ascending) once per window while it
+/// prepares a trace and then indexes it by [`rank`](Self::rank). The
 /// values are held twice: a ring in arrival order (which one to evict,
 /// which one came last) and a count per age (the percentile is a short
 /// cumulative walk, not a clone and a sort per control period; a push is
@@ -104,15 +107,27 @@ impl ThresholdPool {
         (self.len > 0).then(|| self.ring[(self.next + Self::CAP - 1) % Self::CAP])
     }
 
+    /// The 1-based position of the K-th percentile among `len` sorted
+    /// values: nearest-rank, rounding up (conservative), so in `1..=len`.
+    /// An empty pool has no rank; `len == 0` gives 0.
+    ///
+    /// This is the one copy of the formula:
+    /// [`kth_percentile`](Self::kth_percentile) ranks with it, and so does
+    /// anything that indexes [`ascending`](Self::ascending), spelled out,
+    /// instead.
+    #[inline]
+    pub fn rank(k: f64, len: usize) -> usize {
+        (((k / 100.0) * len as f64).ceil() as usize).max(1).min(len)
+    }
+
     /// The K-th percentile of the held thresholds (nearest-rank, rounding
     /// up — conservative), or `None` while the pool is empty.
     #[inline]
     pub fn kth_percentile(&self, k: f64) -> Option<PageAge> {
-        let n = self.len;
-        if n == 0 {
+        if self.len == 0 {
             return None;
         }
-        let rank = (((k / 100.0) * n as f64).ceil() as usize).clamp(1, n);
+        let rank = Self::rank(k, self.len);
         // The answer is the first age whose cumulative count reaches
         // `rank`: pass whole groups that fall short, then walk the ages of
         // the group that does not.
@@ -139,6 +154,22 @@ impl ThresholdPool {
         within
             .and_then(|offset| u8::try_from(first + offset).ok())
             .map(PageAge::from_scans)
+    }
+
+    /// Each distinct held threshold in ascending order, with how many
+    /// times it is held: the order [`kth_percentile`](Self::kth_percentile)
+    /// ranks in, from the same per-age counts. Spelled out, its element
+    /// [`rank(k, len)`](Self::rank) (1-based) is the K-th percentile.
+    /// Empty groups of ages are skipped whole.
+    pub fn ascending(&self) -> impl Iterator<Item = (PageAge, usize)> + '_ {
+        self.group_counts
+            .iter()
+            .zip(self.counts.chunks_exact(GROUP))
+            .zip((0..=u8::MAX).step_by(GROUP))
+            .filter(|((&in_group, _), _)| in_group > 0)
+            .flat_map(|((_, counts), first)| counts.iter().zip(first..=u8::MAX))
+            .filter(|&(&held, _)| held > 0)
+            .map(|(&held, scans)| (PageAge::from_scans(scans), usize::from(held)))
     }
 }
 
@@ -184,6 +215,8 @@ mod tests {
         assert_eq!(pool.kth_percentile(0.0), None);
         assert_eq!(pool.kth_percentile(100.0), None);
         assert_eq!(pool.last(), None);
+        assert_eq!(pool.ascending().next(), None);
+        assert_eq!(ThresholdPool::rank(90.0, 0), 0);
     }
 
     #[test]
@@ -204,13 +237,18 @@ mod tests {
             naive.push(best);
             assert_eq!(pool.len(), naive.0.len());
             assert_eq!(pool.last(), naive.0.last().copied());
+            let mut sorted = naive.0.clone();
+            sorted.sort_unstable();
+            let spelled_out: Vec<PageAge> = pool
+                .ascending()
+                .flat_map(|(age, held)| std::iter::repeat_n(age, held))
+                .collect();
+            assert_eq!(spelled_out, sorted);
             for k in [0.0, 1.0, 33.3, 50.0, 90.0, 98.0, 99.3, 100.0] {
-                assert_eq!(
-                    pool.kth_percentile(k),
-                    naive.kth_percentile(k),
-                    "k {k} after {} pushes",
-                    i + 1
-                );
+                let want = naive.kth_percentile(k);
+                assert_eq!(pool.kth_percentile(k), want, "k {k} after {} pushes", i + 1);
+                let rank = ThresholdPool::rank(k, pool.len());
+                assert_eq!(spelled_out.get(rank - 1).copied(), want);
             }
         }
         assert_eq!(pool.len(), ThresholdPool::CAP);

@@ -2,8 +2,7 @@
 
 use proptest::prelude::*;
 use sdfm_agent::{
-    best_threshold_for_suffix_table, best_threshold_for_window, AgentParams, JobController,
-    SloConfig,
+    best_threshold_for_delta, best_threshold_for_window, AgentParams, JobController, SloConfig,
 };
 use sdfm_types::histogram::{ColdAgeHistogram, PageAge, PromotionHistogram, MAX_AGE_SCANS};
 use sdfm_types::rate::NormalizedPromotionRate;
@@ -54,8 +53,8 @@ fn linear_scan_best_threshold(
 proptest! {
     /// Both entry points agree with the linear scan they replaced — under
     /// any SLO, a nonzero previous snapshot, a zero working set and a
-    /// zero-length window — and the table form reads a prepared suffix
-    /// table exactly as the live form reads the histograms behind it.
+    /// zero-length window: the live form over two cumulative histograms,
+    /// and the delta form over the window's own histogram.
     #[test]
     fn both_forms_match_the_linear_scan(
         prev_entries in prop::collection::vec((0u8..=255, 0u64..300), 0..12),
@@ -76,11 +75,7 @@ proptest! {
         let (wss, window) = (PageCount::new(wss), SimDuration::from_secs(window_secs));
         let want = linear_scan_best_threshold(&now, &prev, wss, window, &slo);
         prop_assert_eq!(best_threshold_for_window(&now, &prev, wss, window, &slo), want);
-        let table = delta.into_suffix_sums();
-        prop_assert_eq!(
-            best_threshold_for_suffix_table(table.as_slice(), wss, window, &slo),
-            want
-        );
+        prop_assert_eq!(best_threshold_for_delta(&delta, wss, window, &slo), want);
     }
 
     /// The chosen best threshold always satisfies the budget (unless it is

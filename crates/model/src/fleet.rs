@@ -5,7 +5,7 @@ use std::sync::OnceLock;
 
 use sdfm_pool::WorkerPool;
 
-use crate::replay::{replay, JobSums, PreparedTrace};
+use crate::replay::{Candidate, JobSums, PreparedTrace};
 use crate::trace::JobTrace;
 use sdfm_agent::{AgentParams, SloConfig};
 use sdfm_kernel::{ChainPolicy, CostModel, PrefetchPolicy, StorePressure};
@@ -17,7 +17,9 @@ use sdfm_types::stats::{percentile, Percentile};
 pub struct ModelConfig {
     /// The `(K, S)` agent parameters under test.
     pub params: AgentParams,
-    /// The SLO (fixed in production; configurable for experiments).
+    /// The SLO. [`replay_job`](crate::replay_job) prepares its trace for
+    /// it; [`FarMemoryModel::evaluate`] requires it to be the SLO the
+    /// model was prepared for.
     pub slo: SloConfig,
     /// The store-lifecycle policy the replay assumes node agents run
     /// (disabled-store decay). Defaults to the production policy.
@@ -104,14 +106,14 @@ struct FleetFold {
 }
 
 impl FleetFold {
-    fn over(traces: &[PreparedTrace], config: &ModelConfig) -> Self {
+    fn over(traces: &[PreparedTrace], candidate: &Candidate) -> Self {
         let mut fold = FleetFold {
             jobs: Vec::with_capacity(traces.len()),
             enabled_rates: Vec::with_capacity(traces.iter().map(PreparedTrace::len).sum()),
         };
         for trace in traces {
             let mut sums = JobSums::default();
-            replay(trace, config, |w| {
+            candidate.replay(trace, |w| {
                 sums.add(&w);
                 if w.enabled {
                     fold.enabled_rates
@@ -135,6 +137,8 @@ impl FleetFold {
 #[derive(Debug)]
 pub struct FarMemoryModel {
     traces: Vec<PreparedTrace>,
+    /// The SLO the traces were prepared for.
+    slo: SloConfig,
     threads: usize,
     /// Persistent worker pool, created lazily on the first parallel
     /// replay and shut down (workers joined) when the model drops.
@@ -146,17 +150,25 @@ impl FarMemoryModel {
     /// (overridable via the `SDFM_THREADS` environment variable for
     /// reproducible CI runs).
     ///
-    /// The traces are consumed into their prepared form here, once, for
-    /// the production SLO: everything a replay needs that does not depend
-    /// on the candidate `(K, S)`. Evaluating a configuration with another
-    /// [`SloConfig`] re-derives the SLO-dependent part on each call.
+    /// The traces are prepared here, once, for the production SLO
+    /// ([`SloConfig::default`]): everything a replay needs that does not
+    /// depend on the candidate `(K, S)`. Each window keeps its cold pages
+    /// and promotions only at the thresholds the controller can choose
+    /// for it under that SLO, and the histograms are not kept, so the
+    /// model can only evaluate configurations under that SLO.
     pub fn new(traces: Vec<JobTrace>) -> Self {
-        let slo = SloConfig::default();
+        Self::for_slo(traces, SloConfig::default())
+    }
+
+    /// [`new`](Self::new) for another SLO.
+    pub(crate) fn for_slo(traces: Vec<JobTrace>, slo: SloConfig) -> Self {
         FarMemoryModel {
+            // Each trace's histograms are freed as soon as it is prepared.
             traces: traces
                 .into_iter()
-                .map(|t| PreparedTrace::new(t.records, slo))
+                .map(|t| PreparedTrace::new(&t.records, &slo))
                 .collect(),
+            slo,
             threads: sdfm_pool::resolve_threads(0),
             pool: OnceLock::new(),
         }
@@ -182,24 +194,35 @@ impl FarMemoryModel {
     }
 
     /// Evaluates one configuration across the fleet.
+    ///
+    /// # Panics
+    ///
+    /// If `config.slo` is not the SLO the model was prepared for
+    /// ([`SloConfig::default`] for a model built by [`new`](Self::new)).
+    /// The prepared traces keep nothing another SLO could be answered
+    /// from.
     pub fn evaluate(&self, config: &ModelConfig) -> FleetModelResult {
-        Self::aggregate(&self.replay_all(config))
+        assert_eq!(
+            config.slo, self.slo,
+            "FarMemoryModel::evaluate: the model was prepared for another SLO"
+        );
+        Self::aggregate(&self.replay_all(&Candidate::new(config)))
     }
 
     /// Replays every trace, on the pool when there is more than one
     /// worker. Workers take contiguous runs of jobs and their folds are
     /// appended in trace order, so the result does not depend on the
     /// thread count.
-    fn replay_all(&self, config: &ModelConfig) -> FleetFold {
+    fn replay_all(&self, candidate: &Candidate) -> FleetFold {
         let workers = self.threads.min(self.traces.len());
         if workers <= 1 {
-            return FleetFold::over(&self.traces, config);
+            return FleetFold::over(&self.traces, candidate);
         }
         let chunk = self.traces.len().div_ceil(workers);
         let tasks: Vec<_> = self
             .traces
             .chunks(chunk)
-            .map(|tc| move || FleetFold::over(tc, config))
+            .map(|tc| move || FleetFold::over(tc, candidate))
             .collect();
         let mut fleet = FleetFold::default();
         for fold in self
@@ -290,6 +313,22 @@ mod tests {
         // unmeasured configuration must not pass as SLO-perfect.
         assert_eq!(r.p98_normalized_rate, None);
         assert!(!r.meets_slo(NormalizedPromotionRate::PAPER_SLO_TARGET));
+    }
+
+    /// A model prepared for the production SLO has nothing left to answer
+    /// another SLO from, so it refuses loudly instead of answering wrong.
+    #[test]
+    #[should_panic(expected = "prepared for another SLO")]
+    fn evaluating_under_another_slo_panics() {
+        let m = FarMemoryModel::new(vec![trace(1, 4, 2_000, 5)]);
+        let strict = SloConfig {
+            min_threshold: PageAge::from_scans(4),
+            ..SloConfig::default()
+        };
+        m.evaluate(&ModelConfig {
+            slo: strict,
+            ..config(98.0, 0)
+        });
     }
 
     #[test]

@@ -9,15 +9,19 @@
 //! configuration.
 //!
 //! That only pays if a what-if is cheap, so [`FarMemoryModel::new`]
-//! *prepares* each trace once: both histograms of every window become
-//! suffix-sum tables in place ("one histogram answers the question for
-//! every threshold at once", §4.3 — a candidate threshold is then one
-//! table read, not a pass over 256 counters), and what only the SLO
-//! decides — each window's best threshold and potential cold pages — is
-//! derived up front. [`FarMemoryModel::evaluate`] replays the prepared
-//! traces and folds the outcomes into the fleet result without keeping
-//! them; [`replay_job`] runs the same loop over one borrowed trace and
-//! returns every [`WindowOutcome`].
+//! *prepares* each trace once, for the production SLO. What only the SLO
+//! decides — each window's best threshold, its potential cold pages, and
+//! the pool of bests the controller holds before it — is derived up front.
+//! The threshold in force is always one of the bests the pool holds (or
+//! the maximum age while it is empty), so each window keeps its cold
+//! pages and promotions only at those few thresholds ("one histogram
+//! answers the question for every threshold at once", §4.3, asked only
+//! where it can be asked), and the histograms are not kept.
+//! [`FarMemoryModel::evaluate`] replays the prepared traces — a rank, two
+//! bytes and one column per window — and folds the outcomes into the
+//! fleet result without keeping them;
+//! [`replay_job`] prepares one borrowed trace for its configuration's SLO,
+//! runs the same loop and returns every [`WindowOutcome`].
 //!
 //! The pipeline is embarrassingly parallel (jobs replay independently);
 //! the paper models a week of the whole WSC in under an hour on

@@ -203,52 +203,91 @@ fn bits(r: &FleetModelResult) -> (u64, Option<u64>, u64, u64, usize, usize) {
     )
 }
 
+/// One window as drawn: cold histogram entries, promotion entries, working
+/// set, incompressible fraction and window length in seconds.
+type WindowDraw = (Vec<(u8, u64)>, Vec<(u8, u64)>, u64, f64, u64);
+
+/// `(age, count)` entries of a histogram.
+fn arb_entries(max_count: u64) -> impl Strategy<Value = Vec<(u8, u64)>> {
+    prop::collection::vec((0u8..=255, 0u64..max_count), 0..8)
+}
+
 /// Strategy: one job trace, possibly empty and up to well past the pool
 /// cap, with the edge cases the replay guards: a zero working set, an
 /// incompressible fraction outside `[0, 1]`, and zero-length windows.
+///
+/// Half the traces draw every window's promotions on their own, so bests
+/// are mostly distinct. The other half draw each window's promotions and
+/// working set from two or three patterns, so bests tie and the pool
+/// fills with duplicates.
 fn arb_trace() -> impl Strategy<Value = JobTrace> {
-    prop::collection::vec(
+    let incompressible =
+        || prop_oneof![6 => 0f64..=0.6, 1 => Just(-0.5), 1 => Just(1.0), 1 => Just(1.75)];
+    let distinct = prop::collection::vec(
         (
-            prop::collection::vec((0u8..=255, 0u64..3_000), 0..8), // cold hist
-            prop::collection::vec((0u8..=255, 0u64..500), 0..8),   // promo delta
-            prop_oneof![8 => 1u64..50_000, 1 => Just(0u64)],       // wss
-            prop_oneof![6 => 0f64..=0.6, 1 => Just(-0.5), 1 => Just(1.0), 1 => Just(1.75)],
+            arb_entries(3_000),
+            arb_entries(500),
+            prop_oneof![8 => 1u64..50_000, 1 => Just(0u64)], // wss
+            incompressible(),
             prop_oneof![8 => Just(300u64), 1 => Just(0u64), 1 => 60u64..900], // window
         ),
         0..80,
+    );
+    let repeating = (
+        prop::collection::vec((arb_entries(500), 0u64..50_000), 2..=3),
+        prop::collection::vec(
+            (
+                0usize..3,
+                arb_entries(3_000),
+                incompressible(),
+                prop_oneof![8 => Just(300u64), 1 => 60u64..900],
+            ),
+            0..80,
+        ),
     )
-    .prop_map(|windows| {
-        let mut at = 0u64;
-        let records = windows
-            .into_iter()
-            .map(|(cold_e, promo_e, wss, incomp, window_secs)| {
-                let mut cold = ColdAgeHistogram::new();
-                for (age, n) in cold_e {
-                    cold.record_page(PageAge::from_scans(age), n);
-                }
-                let mut promo = PromotionHistogram::new();
-                for (age, n) in promo_e {
-                    promo.record_promotion(PageAge::from_scans(age), n);
-                }
-                at += window_secs;
-                TraceRecord {
-                    job: JobId::new(1),
-                    at: SimTime::from_secs(at),
-                    window: SimDuration::from_secs(window_secs),
-                    working_set: PageCount::new(wss),
-                    cold_hist: cold,
-                    promo_delta: promo,
-                    incompressible_fraction: incomp,
-                }
-            })
-            .collect();
-        JobTrace::new(JobId::new(1), records)
-    })
+        .prop_map(|(patterns, windows)| {
+            windows
+                .into_iter()
+                .map(|(pick, cold_e, incomp, window_secs)| {
+                    let (promo_e, wss) = patterns[pick % patterns.len()].clone();
+                    (cold_e, promo_e, wss, incomp, window_secs)
+                })
+                .collect::<Vec<WindowDraw>>()
+        });
+    prop_oneof![distinct, repeating].prop_map(trace_of)
 }
 
-/// The production SLO, or one with another minimum threshold and target:
-/// the only coverage the per-call re-derivation of a prepared trace's
-/// SLO-dependent half gets.
+fn trace_of(windows: Vec<WindowDraw>) -> JobTrace {
+    let mut at = 0u64;
+    let records = windows
+        .into_iter()
+        .map(|(cold_e, promo_e, wss, incomp, window_secs)| {
+            let mut cold = ColdAgeHistogram::new();
+            for (age, n) in cold_e {
+                cold.record_page(PageAge::from_scans(age), n);
+            }
+            let mut promo = PromotionHistogram::new();
+            for (age, n) in promo_e {
+                promo.record_promotion(PageAge::from_scans(age), n);
+            }
+            at += window_secs;
+            TraceRecord {
+                job: JobId::new(1),
+                at: SimTime::from_secs(at),
+                window: SimDuration::from_secs(window_secs),
+                working_set: PageCount::new(wss),
+                cold_hist: cold,
+                promo_delta: promo,
+                incompressible_fraction: incomp,
+            }
+        })
+        .collect();
+    JobTrace::new(JobId::new(1), records)
+}
+
+/// The production SLO, or one with another minimum threshold and target,
+/// so traces are also prepared for SLOs other than the one
+/// [`FarMemoryModel::new`] uses.
 fn arb_slo() -> impl Strategy<Value = SloConfig> {
     prop_oneof![
         Just(SloConfig::default()),
@@ -303,9 +342,82 @@ proptest! {
             let outcomes: Vec<_> = traces.iter().map(|t| reference_replay(t, &config)).collect();
             let want = bits(&reference_aggregate(&outcomes));
             for threads in [1, 2, 4] {
-                let model = FarMemoryModel::new(traces.clone()).with_threads(threads);
+                let model = FarMemoryModel::for_slo(traces.clone(), slo).with_threads(threads);
                 prop_assert_eq!(bits(&model.evaluate(&config)), want, "{} thread(s)", threads);
             }
+        }
+    }
+}
+
+/// A trace whose bests take every one of the 256 ages: the pools hold
+/// age 0 and `PageAge::MAX` as bests, not only as the empty pool's
+/// answer, and a window's thresholds span the whole age range. Window
+/// `i`'s best is `(167·i + 3) mod 256` (167 is odd, so the first 256
+/// windows take every age once); the 64 after them slide the full pool
+/// past repeats.
+#[test]
+fn bests_spanning_every_age_replay_as_the_reference() {
+    // A minimum threshold of 0 scans lets a window without promotions
+    // have best 0, so the bests can take all 256 ages.
+    let slo = SloConfig {
+        min_threshold: PageAge::HOT,
+        ..SloConfig::default()
+    };
+    let window = SimDuration::from_secs(300);
+    let wss = PageCount::new(10_000);
+    let records: Vec<TraceRecord> = (0..320u64)
+        .map(|i| {
+            let best = ((167 * i + 3) % 256) as u8;
+            let mut cold = ColdAgeHistogram::new();
+            cold.record_page(PageAge::HOT, 4_000);
+            cold.record_page(PageAge::from_scans((31 * i % 256) as u8), 2_000);
+            cold.record_page(PageAge::MAX, 500);
+            // Far over budget at every threshold up to `best − 1`, and
+            // nothing from `best` on.
+            let mut promo = PromotionHistogram::new();
+            if let Some(below) = best.checked_sub(1) {
+                promo.record_promotion(PageAge::from_scans(below), 1_000_000);
+            }
+            TraceRecord {
+                job: JobId::new(1),
+                at: SimTime::from_secs((i + 1) * 300),
+                window,
+                working_set: wss,
+                cold_hist: cold,
+                promo_delta: promo,
+                incompressible_fraction: 0.25,
+            }
+        })
+        .collect();
+    let bests: std::collections::BTreeSet<PageAge> = records
+        .iter()
+        .map(|r| {
+            best_threshold_for_window(
+                &r.promo_delta,
+                &PromotionHistogram::new(),
+                wss,
+                window,
+                &slo,
+            )
+        })
+        .collect();
+    assert_eq!(bests.len(), 256, "the bests do not span every age");
+
+    let trace = JobTrace::new(JobId::new(1), records);
+    let model = FarMemoryModel::for_slo(vec![trace.clone()], slo);
+    for k in [0.0, 50.0, 90.0, 100.0] {
+        let params = AgentParams::new(k, SimDuration::ZERO).expect("valid params");
+        for config in policy_cells(ModelConfig {
+            slo,
+            ..ModelConfig::new(params)
+        }) {
+            let want = reference_replay(&trace, &config);
+            assert_eq!(replay_job(&trace, &config), want, "K = {k}");
+            assert_eq!(
+                bits(&model.evaluate(&config)),
+                bits(&reference_aggregate(&[want])),
+                "K = {k}"
+            );
         }
     }
 }

@@ -1,24 +1,25 @@
 //! Offline replay of the §4.3 control algorithm over one job's trace.
 //!
-//! A trace is *prepared* once and replayed many times. Preparation does
-//! everything that does not depend on the candidate `(K, S)`: each
-//! window's two histograms become suffix-sum tables in place (what-if
-//! queries turn into table reads, §4.3), and the two quantities only the
-//! SLO decides — the window's best threshold and its potential cold pages
-//! — are derived up front. [`replay`] is then the one loop over windows;
+//! A trace is *prepared* once, for one SLO, and replayed many times.
+//! Preparation does everything that does not depend on the candidate
+//! `(K, S)`, in one pass over the records: each window's best threshold
+//! and potential cold pages, and the pool of bests the controller holds
+//! before each window. The threshold in force is always one of the bests
+//! the pool holds (or `MAX` while it is empty), so each window keeps its
+//! two what-if answers (§4.3) only at those few thresholds, and the
+//! histograms are not kept. [`Candidate::replay`] is then the one loop
+//! over windows: a rank, two bytes and one column per window.
 //! [`replay_job`] collects its outcomes and
 //! [`FarMemoryModel::evaluate`](crate::FarMemoryModel::evaluate) folds
 //! them without keeping them.
 
-use std::borrow::Cow;
+use std::iter;
 
 use crate::fleet::ModelConfig;
 use crate::trace::JobTrace;
-use sdfm_agent::{
-    best_threshold_for_suffix_table, AgentParams, SloConfig, ThresholdPool, TraceRecord,
-};
+use sdfm_agent::{best_threshold_for_delta, AgentParams, SloConfig, ThresholdPool, TraceRecord};
 use sdfm_kernel::{CostModel, FarPolicy, FarState, StorePressure};
-use sdfm_types::histogram::{AgeSuffixSums, PageAge};
+use sdfm_types::histogram::PageAge;
 use sdfm_types::rate::{NormalizedPromotionRate, PromotionRate};
 use sdfm_types::size::PageCount;
 use sdfm_types::time::{SimDuration, SimTime};
@@ -160,86 +161,124 @@ struct PreparedWindow {
     at: SimTime,
     window: SimDuration,
     working_set: PageCount,
-    /// The share of would-be outcomes zswap realizes. Incompressible
-    /// pages are rejected: they neither occupy far memory nor fault. The
-    /// controller stays conservative (raw histograms), but realized
-    /// outcomes scale by this.
-    compressible: f64,
-    /// `cold.at(T)`: pages at least `T` scans old.
-    cold: AgeSuffixSums,
-    /// `promo.at(T)`: promotions of pages at least `T` scans old.
-    promo: AgeSuffixSums,
-}
-
-/// What the SLO alone decides about each window of a trace (9 bytes per
-/// window; parallel to [`PreparedTrace::windows`]).
-#[derive(Debug, Clone)]
-struct SloTable {
-    /// The window's best threshold (what it adds to the pool).
-    best: Vec<PageAge>,
     /// Cold pages under the minimum threshold — the coverage denominator.
-    potential_cold_pages: Vec<u64>,
+    potential_cold_pages: u64,
+    /// How many thresholds the window can be given: its entries in
+    /// [`PreparedTrace::columns`].
+    choices: u8,
+    /// The previous window's best, as an index into the window's columns
+    /// (0, `PageAge::MAX`, for the first window).
+    last: u8,
 }
 
-impl SloTable {
-    fn derive(windows: &[PreparedWindow], slo: &SloConfig) -> Self {
-        SloTable {
-            best: windows
-                .iter()
-                .map(|w| {
-                    best_threshold_for_suffix_table(
-                        w.promo.as_slice(),
-                        w.working_set,
-                        w.window,
-                        slo,
-                    )
-                })
-                .collect(),
-            potential_cold_pages: windows
-                .iter()
-                .map(|w| w.cold.at(slo.min_threshold))
-                .collect(),
-        }
-    }
+// A window's columns are indexed by bytes.
+const _: () = assert!(ThresholdPool::CAP <= u8::MAX as usize);
+
+/// One threshold a window can be given, and what the window realizes
+/// under it.
+///
+/// Both counts are pre-scaled by the window's compressible share:
+/// incompressible pages are rejected, so they neither occupy far memory
+/// nor fault. The controller stays conservative (its bests come from the
+/// raw histograms), but realized outcomes scale by the share.
+#[derive(Debug, Clone, Copy)]
+struct Column {
+    threshold: PageAge,
+    /// Pages at least `threshold` old.
+    cold: u64,
+    /// Promotions of pages at least `threshold` old.
+    promotions: u64,
 }
 
-/// One job's trace, consumed into the form [`replay`] reads.
+/// One job's trace, reduced to the only thresholds a replay can ask
+/// about.
+///
+/// The threshold in force is `max(K-th percentile of the pool, last
+/// best)`: a best the pool holds, or `PageAge::MAX` while the pool is
+/// empty. The pool's contents depend on the SLO alone, not on `(K, S)`.
+/// So each window keeps its cold pages and promotions only at the
+/// distinct bests its pool holds (a handful, not 256), and the pool only
+/// as indices into those.
 #[derive(Debug, Clone)]
 pub(crate) struct PreparedTrace {
     /// Job start: one window before the first record.
     start: SimTime,
     windows: Vec<PreparedWindow>,
-    /// The SLO `table` was derived for.
-    slo: SloConfig,
-    table: SloTable,
+    /// Per window, in window order: the distinct bests its pool holds,
+    /// ascending, or `PageAge::MAX` alone for the first window.
+    columns: Vec<Column>,
+    /// Per window, in window order: every best its pool holds, ascending,
+    /// as an index into the window's columns. Window `i` has
+    /// `min(i, ThresholdPool::CAP)` of them.
+    held: Vec<u8>,
 }
 
 impl PreparedTrace {
-    /// Prepares time-ordered `records` for replays under `slo`. Each
-    /// record's histograms become its suffix tables in place, so a
-    /// prepared trace is no larger than the trace it consumed.
-    pub(crate) fn new(records: impl IntoIterator<Item = TraceRecord>, slo: SloConfig) -> Self {
-        let windows: Vec<PreparedWindow> = records
-            .into_iter()
-            .map(|r| PreparedWindow {
+    /// Prepares time-ordered `records` for replays under `slo` in one pass,
+    /// reading each record's histograms once and copying neither.
+    pub(crate) fn new(records: &[TraceRecord], slo: &SloConfig) -> Self {
+        let mut windows = Vec::with_capacity(records.len());
+        let mut columns = Vec::new();
+        let mut held =
+            Vec::with_capacity((0..records.len()).map(|i| i.min(ThresholdPool::CAP)).sum());
+        // The same pool the live controller keeps, fed the same bests.
+        let mut pool = ThresholdPool::new();
+        let mut thresholds: Vec<PageAge> = Vec::with_capacity(ThresholdPool::CAP);
+        for r in records {
+            thresholds.clear();
+            for (best, times) in pool.ascending() {
+                held.extend(iter::repeat_n(thresholds.len() as u8, times));
+                thresholds.push(best);
+            }
+            // The previous best is one the pool holds.
+            let last = match pool.last() {
+                Some(last) => thresholds.partition_point(|&t| t < last),
+                None => {
+                    thresholds.push(PageAge::MAX);
+                    0
+                }
+            };
+            let (cold, promo) = (&r.cold_hist, &r.promo_delta);
+            let compressible = 1.0 - r.incompressible_fraction.clamp(0.0, 1.0);
+            let scaled = |n: u64| (n as f64 * compressible) as u64;
+            // Every best is at or above the minimum threshold, so the
+            // coverage denominator leads the same pass over `cold`.
+            let mut cold_at = cold.pages_colder_than_each(
+                iter::once(slo.min_threshold).chain(thresholds.iter().copied()),
+            );
+            let potential_cold_pages = cold_at.next().unwrap_or(0);
+            let promo_at = promo.promotions_colder_than_each(thresholds.iter().copied());
+            columns.extend(thresholds.iter().zip(cold_at.zip(promo_at)).map(
+                |(&threshold, (cold, promotions))| Column {
+                    threshold,
+                    cold: scaled(cold),
+                    promotions: scaled(promotions),
+                },
+            ));
+            windows.push(PreparedWindow {
                 at: r.at,
                 window: r.window,
                 working_set: r.working_set,
-                compressible: 1.0 - r.incompressible_fraction.clamp(0.0, 1.0),
-                cold: r.cold_hist.into_suffix_sums(),
-                promo: r.promo_delta.into_suffix_sums(),
-            })
-            .collect();
-        let start = windows
+                potential_cold_pages,
+                choices: thresholds.len() as u8,
+                last: last as u8,
+            });
+            pool.push(best_threshold_for_delta(
+                promo,
+                r.working_set,
+                r.window,
+                slo,
+            ));
+        }
+        let start = records
             .first()
-            .map(|w| SimTime::from_secs(w.at.as_secs().saturating_sub(w.window.as_secs())))
+            .map(|r| SimTime::from_secs(r.at.as_secs().saturating_sub(r.window.as_secs())))
             .unwrap_or(SimTime::ZERO);
-        let table = SloTable::derive(&windows, &slo);
         PreparedTrace {
             start,
             windows,
-            slo,
-            table,
+            columns,
+            held,
         }
     }
 
@@ -247,82 +286,84 @@ impl PreparedTrace {
     pub(crate) fn len(&self) -> usize {
         self.windows.len()
     }
-
-    /// The prepared table when `slo` is the one it was prepared for, else
-    /// one derived for this call by the same function.
-    fn slo_table(&self, slo: &SloConfig) -> Cow<'_, SloTable> {
-        if *slo == self.slo {
-            Cow::Borrowed(&self.table)
-        } else {
-            Cow::Owned(SloTable::derive(&self.windows, slo))
-        }
-    }
 }
 
-/// Replays the control algorithm over one prepared trace under `config`,
-/// handing each window's outcome to `sink` in time order. This is the only
-/// copy of the per-window recurrence; see [`replay_job`] for what it
-/// computes.
-#[inline]
-pub(crate) fn replay(
-    trace: &PreparedTrace,
-    config: &ModelConfig,
-    mut sink: impl FnMut(WindowOutcome),
-) {
-    let ModelConfig { params, cost, .. } = config;
-    let policy = FarPolicy {
-        pressure: config.pressure,
-        chain: config.chain,
-        prefetch: config.prefetch,
-    };
-    let table = trace.slo_table(&config.slo);
-    let mut state = FarState::default();
-    let mut pool = ThresholdPool::new();
+/// What every replay of one configuration shares, derived once per
+/// evaluation.
+#[derive(Debug)]
+pub(crate) struct Candidate<'a> {
+    config: &'a ModelConfig,
+    policy: FarPolicy,
+    /// `ThresholdPool::rank(K, n)` for every pool size `n`: the only way
+    /// K reaches a replay. Slot 0, the empty pool, is never read.
+    ranks: [usize; ThresholdPool::CAP + 1],
+}
 
-    for ((w, &best), &potential) in trace
-        .windows
-        .iter()
-        .zip(&table.best)
-        .zip(&table.potential_cold_pages)
-    {
-        // Decision made at the previous boundary.
-        let threshold = match (pool.kth_percentile(params.k_percentile), pool.last()) {
-            (Some(p), Some(last_best)) => p.max(last_best),
-            _ => PageAge::MAX,
-        };
-        let enabled = w.at.saturating_duration_since(trace.start) >= params.s_warmup;
-        let (cold, promos) = if enabled {
-            (
-                (w.cold.at(threshold) as f64 * w.compressible) as u64,
-                (w.promo.at(threshold) as f64 * w.compressible) as u64,
-            )
-        } else {
-            (0, 0)
-        };
-        let far = state.step(enabled, cold, promos, &policy);
-        let rate =
-            PromotionRate::from_count(far.demand_promotions, w.window).normalized(w.working_set);
-        sink(WindowOutcome {
-            at: w.at,
-            enabled,
-            threshold,
-            cold_pages: cold,
-            potential_cold_pages: potential,
-            promotions: far.demand_promotions,
-            working_set: w.working_set.get(),
-            normalized_rate: rate,
-            store_pages: state.store_pages,
-            store_frames: cost.store_frames(state.store_pages),
-            ssd_pages: state.ssd_pages,
-            remote_pages: state.remote_pages,
-            prefetch_issued: far.prefetch.issued,
-            prefetch_used: far.prefetch.used,
-            prefetch_wasted: far.prefetch.wasted,
-            prefetch_late: far.prefetch.late,
-        });
-        // This window's best threshold joins the controller's sliding
-        // history for the next decision.
-        pool.push(best);
+impl<'a> Candidate<'a> {
+    pub(crate) fn new(config: &'a ModelConfig) -> Self {
+        let k = config.params.k_percentile;
+        Candidate {
+            config,
+            policy: FarPolicy {
+                pressure: config.pressure,
+                chain: config.chain,
+                prefetch: config.prefetch,
+            },
+            ranks: std::array::from_fn(|n| ThresholdPool::rank(k, n)),
+        }
+    }
+
+    /// Replays the control algorithm over one prepared trace, handing each
+    /// window's outcome to `sink` in time order. This is the only copy of
+    /// the per-window recurrence; see [`replay_job`] for what it computes.
+    #[inline]
+    pub(crate) fn replay(&self, trace: &PreparedTrace, mut sink: impl FnMut(WindowOutcome)) {
+        let ModelConfig { params, cost, .. } = self.config;
+        let mut state = FarState::default();
+        let (mut columns, mut held) = (trace.columns.as_slice(), trace.held.as_slice());
+        for (i, w) in trace.windows.iter().enumerate() {
+            let (choices, rest) = columns.split_at(usize::from(w.choices));
+            columns = rest;
+            let n = i.min(ThresholdPool::CAP);
+            let (pool, rest) = held.split_at(n);
+            held = rest;
+            // Decision made at the previous boundary. Indices into the
+            // window's columns order as the thresholds do.
+            let chosen = &choices[usize::from(if n == 0 {
+                // The first window: its one column is `PageAge::MAX`.
+                w.last
+            } else {
+                pool[self.ranks[n] - 1].max(w.last)
+            })];
+            let threshold = chosen.threshold;
+            let enabled = w.at.saturating_duration_since(trace.start) >= params.s_warmup;
+            let (cold, promos) = if enabled {
+                (chosen.cold, chosen.promotions)
+            } else {
+                (0, 0)
+            };
+            let far = state.step(enabled, cold, promos, &self.policy);
+            let rate = PromotionRate::from_count(far.demand_promotions, w.window)
+                .normalized(w.working_set);
+            sink(WindowOutcome {
+                at: w.at,
+                enabled,
+                threshold,
+                cold_pages: cold,
+                potential_cold_pages: w.potential_cold_pages,
+                promotions: far.demand_promotions,
+                working_set: w.working_set.get(),
+                normalized_rate: rate,
+                store_pages: state.store_pages,
+                store_frames: cost.store_frames(state.store_pages),
+                ssd_pages: state.ssd_pages,
+                remote_pages: state.remote_pages,
+                prefetch_issued: far.prefetch.issued,
+                prefetch_used: far.prefetch.used,
+                prefetch_wasted: far.prefetch.wasted,
+                prefetch_late: far.prefetch.late,
+            });
+        }
     }
 }
 
@@ -341,13 +382,13 @@ pub(crate) fn replay(
 /// instead of vanishing; hidden faults leave `promotions`. The store's
 /// physical footprint is sized by `config.cost`'s realized ratio.
 ///
-/// This prepares a copy of the borrowed trace on every call; to replay
-/// one trace set under many configurations, build a
+/// This prepares the borrowed trace for `config.slo` on every call; to
+/// replay one trace set under many configurations, build a
 /// [`FarMemoryModel`](crate::FarMemoryModel), which prepares once.
 pub fn replay_job(trace: &JobTrace, config: &ModelConfig) -> JobReplayOutcome {
-    let prepared = PreparedTrace::new(trace.records.iter().cloned(), config.slo);
+    let prepared = PreparedTrace::new(&trace.records, &config.slo);
     let mut windows = Vec::with_capacity(prepared.len());
-    replay(&prepared, config, |w| windows.push(w));
+    Candidate::new(config).replay(&prepared, |w| windows.push(w));
     JobReplayOutcome { windows }
 }
 

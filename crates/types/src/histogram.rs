@@ -120,6 +120,22 @@ impl AgeCounts {
         self.counts[from.0 as usize..].iter().sum()
     }
 
+    /// `suffix_sum` at each of the ascending `thresholds`: the total, less
+    /// what lies below each threshold, taken off a stretch at a time.
+    fn suffix_sums_at<'a>(
+        &'a self,
+        thresholds: impl IntoIterator<Item = PageAge> + 'a,
+    ) -> impl Iterator<Item = u64> + 'a {
+        let mut suffix = self.total();
+        let mut below = 0;
+        thresholds.into_iter().map(move |t| {
+            let to = usize::from(t.0);
+            suffix -= self.counts[below..to].iter().sum::<u64>();
+            below = to;
+            suffix
+        })
+    }
+
     fn total(&self) -> u64 {
         self.counts.iter().sum()
     }
@@ -178,55 +194,6 @@ impl AgeCounts {
     fn is_empty(&self) -> bool {
         self.counts.iter().all(|&c| c == 0)
     }
-
-    /// One backward running sum over the counters, in place.
-    fn into_suffix_sums(mut self) -> AgeSuffixSums {
-        let mut suffix = 0u64;
-        for slot in self.counts.iter_mut().rev() {
-            suffix += *slot;
-            *slot = suffix;
-        }
-        AgeSuffixSums { sums: self.counts }
-    }
-}
-
-/// A histogram answered for every threshold at once (§4.3): entry `T` is
-/// the histogram's suffix sum over ages `>= T`, so a what-if query is one
-/// table read instead of a pass over up to 256 counters.
-///
-/// Built by [`ColdAgeHistogram::into_suffix_sums`] or
-/// [`PromotionHistogram::into_suffix_sums`], which turn the histogram's
-/// own counters into the table in place — no second allocation.
-///
-/// # Examples
-///
-/// ```
-/// use sdfm_types::histogram::{ColdAgeHistogram, PageAge};
-///
-/// let mut h = ColdAgeHistogram::new();
-/// h.record_page(PageAge::from_scans(0), 10);
-/// h.record_page(PageAge::from_scans(5), 4);
-/// let colder_than = h.clone().into_suffix_sums();
-/// for scans in [0, 1, 5, 6, 255] {
-///     let t = PageAge::from_scans(scans);
-///     assert_eq!(colder_than.at(t), h.pages_colder_than(t));
-/// }
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AgeSuffixSums {
-    sums: Vec<u64>,
-}
-
-impl AgeSuffixSums {
-    /// The suffix sum over ages `>= threshold`.
-    pub fn at(&self, threshold: PageAge) -> u64 {
-        self.sums[threshold.0 as usize]
-    }
-
-    /// The whole table, indexed by age in scans; non-increasing.
-    pub fn as_slice(&self) -> &[u64] {
-        &self.sums
-    }
 }
 
 impl Default for AgeCounts {
@@ -273,6 +240,31 @@ impl ColdAgeHistogram {
     /// size under that threshold, in pages.
     pub fn pages_colder_than(&self, threshold: PageAge) -> u64 {
         self.inner.suffix_sum(threshold)
+    }
+
+    /// [`pages_colder_than`](Self::pages_colder_than) at each of several
+    /// thresholds, in one pass over the histogram (§4.3: one histogram
+    /// answers the what-if for every threshold at once).
+    ///
+    /// # Panics
+    ///
+    /// If `thresholds` do not ascend.
+    ///
+    /// ```
+    /// use sdfm_types::histogram::{ColdAgeHistogram, PageAge};
+    ///
+    /// let mut h = ColdAgeHistogram::new();
+    /// h.record_page(PageAge::from_scans(0), 10);
+    /// h.record_page(PageAge::from_scans(5), 4);
+    /// let thresholds = [0, 1, 5, 6, 255].map(PageAge::from_scans);
+    /// let each: Vec<u64> = h.pages_colder_than_each(thresholds).collect();
+    /// assert_eq!(each, [14, 4, 4, 0, 0]);
+    /// ```
+    pub fn pages_colder_than_each<'a>(
+        &'a self,
+        thresholds: impl IntoIterator<Item = PageAge> + 'a,
+    ) -> impl Iterator<Item = u64> + 'a {
+        self.inner.suffix_sums_at(thresholds)
     }
 
     /// Number of pages whose age is *below* `threshold` — the §4.2 working
@@ -330,13 +322,6 @@ impl ColdAgeHistogram {
     /// Iterates over `(age, page count)` pairs, including empty buckets.
     pub fn iter(&self) -> impl Iterator<Item = (PageAge, u64)> + '_ {
         self.inner.iter()
-    }
-
-    /// Consumes the histogram into the table of
-    /// [`pages_colder_than`](Self::pages_colder_than) for every threshold,
-    /// reusing its storage.
-    pub fn into_suffix_sums(self) -> AgeSuffixSums {
-        self.inner.into_suffix_sums()
     }
 
     /// True when no pages have been recorded.
@@ -400,6 +385,20 @@ impl PromotionHistogram {
         self.inner.suffix_sum(threshold)
     }
 
+    /// [`promotions_colder_than`](Self::promotions_colder_than) at each of
+    /// several thresholds, in one pass over the histogram — the
+    /// counterpart of [`ColdAgeHistogram::pages_colder_than_each`].
+    ///
+    /// # Panics
+    ///
+    /// If `thresholds` do not ascend.
+    pub fn promotions_colder_than_each<'a>(
+        &'a self,
+        thresholds: impl IntoIterator<Item = PageAge> + 'a,
+    ) -> impl Iterator<Item = u64> + 'a {
+        self.inner.suffix_sums_at(thresholds)
+    }
+
     /// Total accesses recorded (with age ≥ 1; accesses to hot pages are not
     /// promotions under any threshold but may still be recorded at age 0).
     pub fn total_promotions(&self) -> u64 {
@@ -426,13 +425,6 @@ impl PromotionHistogram {
     /// Iterates over `(age at access, access count)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (PageAge, u64)> + '_ {
         self.inner.iter()
-    }
-
-    /// Consumes the histogram into the table of
-    /// [`promotions_colder_than`](Self::promotions_colder_than) for every
-    /// threshold, reusing its storage.
-    pub fn into_suffix_sums(self) -> AgeSuffixSums {
-        self.inner.into_suffix_sums()
     }
 
     /// True when no accesses have been recorded.
@@ -518,27 +510,31 @@ mod tests {
     }
 
     #[test]
-    fn suffix_sums_answer_every_threshold_in_place() {
+    fn each_threshold_in_one_pass_matches_one_at_a_time() {
         let mut cold = ColdAgeHistogram::new();
         let mut promo = PromotionHistogram::new();
         for (scans, n) in [(0u8, 7u64), (1, 5), (2, 0), (9, 3), (254, 2), (255, 11)] {
             cold.record_page(PageAge::from_scans(scans), n);
             promo.record_promotion(PageAge::from_scans(scans), n * 3);
         }
-        let storage = cold.inner.counts.as_ptr();
-        let cold_sums = cold.clone().into_suffix_sums();
-        let promo_sums = promo.clone().into_suffix_sums();
-        for scans in 0..=MAX_AGE_SCANS {
-            let t = PageAge::from_scans(scans);
-            assert_eq!(cold_sums.at(t), cold.pages_colder_than(t));
-            assert_eq!(promo_sums.at(t), promo.promotions_colder_than(t));
+        // Repeats, both extremes, and stretches with nothing in them.
+        let thresholds = [0u8, 0, 1, 2, 9, 10, 200, 254, 255, 255].map(PageAge::from_scans);
+        let cold_each: Vec<u64> = cold.pages_colder_than_each(thresholds).collect();
+        let promo_each: Vec<u64> = promo.promotions_colder_than_each(thresholds).collect();
+        for ((t, c), p) in thresholds.iter().zip(cold_each).zip(promo_each) {
+            assert_eq!(c, cold.pages_colder_than(*t), "{t}");
+            assert_eq!(p, promo.promotions_colder_than(*t), "{t}");
         }
-        assert_eq!(cold_sums.as_slice().len(), AGE_BUCKETS);
-        assert!(cold_sums.as_slice().windows(2).all(|w| w[0] >= w[1]));
-        // The table is the histogram's own allocation, not a copy.
-        assert_eq!(cold.into_suffix_sums().as_slice().as_ptr(), storage);
-        let empty = PromotionHistogram::new().into_suffix_sums();
-        assert!(empty.as_slice().iter().all(|&s| s == 0));
+        assert_eq!(cold.pages_colder_than_each([]).count(), 0);
+    }
+
+    #[test]
+    #[should_panic]
+    fn each_threshold_refuses_a_descending_list() {
+        let h = ColdAgeHistogram::new();
+        let _ = h
+            .pages_colder_than_each([5, 4].map(PageAge::from_scans))
+            .count();
     }
 
     #[test]
